@@ -240,14 +240,6 @@ type MemoStatsJSON struct {
 	HitRate float64 `json:"hit_rate"`
 }
 
-// IncrementalStatsJSON mirrors the tricheck_uhb_incremental_*_total
-// counters in the stats payload, with the reuse ratio precomputed.
-type IncrementalStatsJSON struct {
-	Reuse      uint64  `json:"reuse"`
-	Rebuild    uint64  `json:"rebuild"`
-	ReuseRatio float64 `json:"reuse_ratio"`
-}
-
 // StatsRecord is the GET /v1/stats response.
 type StatsRecord struct {
 	UptimeSeconds    float64 `json:"uptime_seconds"`
@@ -269,10 +261,6 @@ type StatsRecord struct {
 	// server's lifetime (absent while zero).
 	Divergences uint64         `json:"divergences,omitempty"`
 	Memo        *MemoStatsJSON `json:"memo,omitempty"`
-	// Incremental reports the µhb incremental-acyclicity engine's
-	// effectiveness: how often the per-candidate verdict reused the
-	// maintained topological order vs. rebuilt it from scratch.
-	Incremental *IncrementalStatsJSON `json:"incremental,omitempty"`
 	// Fleet reports coordinator-mode dispatch counters (absent on plain
 	// workers).
 	Fleet *FleetStatsJSON `json:"fleet,omitempty"`

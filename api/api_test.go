@@ -65,14 +65,12 @@ func TestGoldenStatsRecord(t *testing.T) {
 		UptimeSeconds: 10, RequestsTotal: 4, RequestsInFlight: 1,
 		RequestErrors: 0, RequestCancels: 1, VerdictsStreamed: 648,
 		TestsPerSecond: 64.8, JobsExecuted: 324,
-		Memo:        &MemoStatsJSON{Hits: 324, Misses: 324, Len: 324, Cap: 262144, HitRate: 0.5},
-		Incremental: &IncrementalStatsJSON{Reuse: 90, Rebuild: 10, ReuseRatio: 0.9},
+		Memo: &MemoStatsJSON{Hits: 324, Misses: 324, Len: 324, Cap: 262144, HitRate: 0.5},
 	})
 	want := `{"uptime_seconds":10,"requests_total":4,"requests_inflight":1,` +
 		`"request_errors":0,"requests_cancelled":1,"verdicts_streamed":648,` +
 		`"tests_per_sec":64.8,"jobs_executed":324,` +
-		`"memo":{"hits":324,"misses":324,"len":324,"cap":262144,"hit_rate":0.5},` +
-		`"incremental":{"reuse":90,"rebuild":10,"reuse_ratio":0.9}}`
+		`"memo":{"hits":324,"misses":324,"len":324,"cap":262144,"hit_rate":0.5}}`
 	if got != want {
 		t.Errorf("stats record bytes changed:\n got %s\nwant %s", got, want)
 	}

@@ -62,11 +62,6 @@ func cmdTop(args []string) {
 		fmt.Println("tricheck top: no executed jobs (nothing to rank)")
 		return
 	}
-	reuse, rebuild := tricheck.IncrementalStats()
-	reuseRatio := 0.0
-	if reuse+rebuild > 0 {
-		reuseRatio = float64(reuse) / float64(reuse+rebuild)
-	}
 	var total, hll, compile, skeleton, enumerate time.Duration
 	for _, c := range costs {
 		total += c.Total
@@ -89,9 +84,6 @@ func cmdTop(args []string) {
 				"enumerate": enumerate.Seconds(),
 				"total":     total.Seconds(),
 			},
-			IncrementalReuse:   reuse,
-			IncrementalRebuild: rebuild,
-			IncrementalRatio:   reuseRatio,
 		}
 		for i, c := range costs {
 			if i >= *topK {
@@ -129,11 +121,6 @@ func cmdTop(args []string) {
 	phase("enumerate", enumerate)
 	phase("other", total-hll-compile-skeleton-enumerate)
 
-	fmt.Printf("\n── incremental µhb engine ──\n")
-	fmt.Printf("  order reused   %12d\n", reuse)
-	fmt.Printf("  order rebuilt  %12d\n", rebuild)
-	fmt.Printf("  reuse ratio    %11.1f%%\n", 100*reuseRatio)
-
 	fmt.Printf("\n── top %d (test, stack) cells ──\n", *topK)
 	fmt.Printf("  %-28s %-26s %10s %6s %9s %9s %8s %8s\n",
 		"TEST", "STACK", "TOTAL", "%", "HLL", "SKEL", "ENUM", "GRAPHS")
@@ -162,14 +149,9 @@ type topReport struct {
 	Jobs           int                `json:"jobs"`
 	ElapsedSeconds float64            `json:"elapsed_seconds"`
 	Phases         map[string]float64 `json:"phase_seconds"`
-	// Incremental µhb engine effectiveness over the run: candidate
-	// verdicts that reused the maintained topological order vs. rebuilt.
-	IncrementalReuse   uint64     `json:"incremental_reuse"`
-	IncrementalRebuild uint64     `json:"incremental_rebuild"`
-	IncrementalRatio   float64    `json:"incremental_reuse_ratio"`
-	Cells              []topCell  `json:"cells"`
-	TopStacks          []topGroup `json:"top_stacks"`
-	TopTests           []topGroup `json:"top_tests"`
+	Cells          []topCell          `json:"cells"`
+	TopStacks      []topGroup         `json:"top_stacks"`
+	TopTests       []topGroup         `json:"top_tests"`
 }
 
 // topCell is one machine-readable (test, stack) cost cell.

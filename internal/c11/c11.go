@@ -128,12 +128,6 @@ func New(nlocs int, names ...string) *Program {
 // Mem exposes the underlying event program (used by compile and tests).
 func (p *Program) Mem() *mem.Program { return p.memp }
 
-// OrderOf returns the memory order of the event with the given GID.
-func (p *Program) OrderOf(gid int) Order { return p.ord[gid] }
-
-// KindOf returns the operation kind of the event with the given GID.
-func (p *Program) KindOf(gid int) OpKind { return p.kind[gid] }
-
 func (p *Program) add(t int, op Op) *mem.Event {
 	var ev mem.Event
 	switch op.Kind {

@@ -23,12 +23,6 @@ type Result struct {
 	Candidates int
 }
 
-// Forbidden reports whether outcome o is a candidate outcome that C11
-// forbids.
-func (r *Result) Forbidden(o mem.Outcome) bool {
-	return r.All[o] && !r.Allowed[o]
-}
-
 // Evaluate runs the C11 axiomatic model over every candidate execution of p
 // and returns the allowed outcome set.
 //

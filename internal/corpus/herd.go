@@ -120,16 +120,6 @@ func metaValue(s string) string {
 	return safeName(s)
 }
 
-// Emit writes a test in the herd C litmus format.
-func Emit(w io.Writer, t *litmus.Test) error {
-	s, err := EmitString(t)
-	if err != nil {
-		return err
-	}
-	_, err = io.WriteString(w, s)
-	return err
-}
-
 // EmitString renders a test in the herd C litmus format. The rendering
 // is deterministic: emitting, parsing and emitting again yields
 // byte-identical output.

@@ -76,9 +76,6 @@ func NewRing(nodes []string, vnodes int) *Ring {
 	return r
 }
 
-// Nodes returns the ring's members, sorted.
-func (r *Ring) Nodes() []string { return r.nodes }
-
 // Len returns the member count.
 func (r *Ring) Len() int { return len(r.nodes) }
 

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"sort"
@@ -135,11 +134,4 @@ func (r *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.Snapshot())
-}
-
-// Expvar returns the registry as an expvar.Var rendering the JSON dump,
-// so embedders can expvar.Publish it (or splice it into a custom
-// /debug/vars like tricheckd does).
-func (r *Registry) Expvar() expvar.Var {
-	return expvar.Func(func() any { return r.Snapshot() })
 }

@@ -51,20 +51,20 @@ func TestVerify400NamesOffendingField(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, c := range []struct {
 		name   string
-		req    VerifyRequest
+		req    api.VerifyRequest
 		fields string
 	}{
-		{"no selector", VerifyRequest{}, "litmus,suite,family"},
-		{"two selectors", VerifyRequest{Family: "mp", Suite: "paper"}, "suite,family"},
-		{"unknown suite", VerifyRequest{Suite: "nope"}, "suite"},
-		{"unknown family", VerifyRequest{Family: "nope"}, "family"},
-		{"bad isa", VerifyRequest{Family: "mp", ISA: "nope"}, "isa"},
-		{"bad variant", VerifyRequest{Family: "mp", Variant: "nope"}, "variant"},
-		{"bad litmus", VerifyRequest{Litmus: []string{"not litmus"}}, "litmus"},
-		{"bad backend", VerifyRequest{Family: "mp", Backend: "axiomatic"}, "backend"},
-		{"models+variant", VerifyRequest{Family: "mp", Variant: "curr", Models: []string{scSpec}}, "models,variant"},
-		{"bad model spec", VerifyRequest{Family: "mp", Models: []string{"uspec ???"}}, "models[0]"},
-		{"opsim unsupported", VerifyRequest{Family: "mp", Backend: "opsim", Variant: "curr"}, "backend"},
+		{"no selector", api.VerifyRequest{}, "litmus,suite,family"},
+		{"two selectors", api.VerifyRequest{Family: "mp", Suite: "paper"}, "suite,family"},
+		{"unknown suite", api.VerifyRequest{Suite: "nope"}, "suite"},
+		{"unknown family", api.VerifyRequest{Family: "nope"}, "family"},
+		{"bad isa", api.VerifyRequest{Family: "mp", ISA: "nope"}, "isa"},
+		{"bad variant", api.VerifyRequest{Family: "mp", Variant: "nope"}, "variant"},
+		{"bad litmus", api.VerifyRequest{Litmus: []string{"not litmus"}}, "litmus"},
+		{"bad backend", api.VerifyRequest{Family: "mp", Backend: "axiomatic"}, "backend"},
+		{"models+variant", api.VerifyRequest{Family: "mp", Variant: "curr", Models: []string{scSpec}}, "models,variant"},
+		{"bad model spec", api.VerifyRequest{Family: "mp", Models: []string{"uspec ???"}}, "models[0]"},
+		{"opsim unsupported", api.VerifyRequest{Family: "mp", Backend: "opsim", Variant: "curr"}, "backend"},
 	} {
 		er := decode400(t, postVerify(t, ts.URL, c.req))
 		if got := fieldNames(er); got != c.fields {
@@ -78,9 +78,9 @@ func TestVerify400NamesOffendingField(t *testing.T) {
 // verdicts on the same family.
 func TestVerifyBackendOpsim(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	uhbV, _ := drainStream(t, postVerify(t, ts.URL, VerifyRequest{Family: "sb", ISA: "base", Models: []string{scSpec}}))
+	uhbV, _ := drainStream(t, postVerify(t, ts.URL, api.VerifyRequest{Family: "sb", ISA: "base", Models: []string{scSpec}}))
 	execsAfterUhb := s.Engine().Executions()
-	opV, opSum := drainStream(t, postVerify(t, ts.URL, VerifyRequest{Family: "sb", ISA: "base", Models: []string{scSpec}, Backend: "opsim"}))
+	opV, opSum := drainStream(t, postVerify(t, ts.URL, api.VerifyRequest{Family: "sb", ISA: "base", Models: []string{scSpec}, Backend: "opsim"}))
 	if len(opV) != len(uhbV) {
 		t.Fatalf("opsim streamed %d records, uhb %d", len(opV), len(uhbV))
 	}
@@ -89,7 +89,7 @@ func TestVerifyBackendOpsim(t *testing.T) {
 	if got := s.Engine().Executions() - execsAfterUhb; got != uint64(len(opV)) {
 		t.Errorf("opsim sweep executed %d jobs, want %d (uhb cache crosstalk)", got, len(opV))
 	}
-	uhbByTest := map[string]VerdictRecord{}
+	uhbByTest := map[string]api.VerdictRecord{}
 	for _, v := range uhbV {
 		if v.Backend != "" {
 			t.Fatalf("uhb record carries backend %q", v.Backend)
@@ -121,7 +121,7 @@ func TestVerifyBackendOpsim(t *testing.T) {
 // marks the unsupported ones skipped in the summary.
 func TestVerifyBackendBothCleanAndSkip(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	verdicts, sum := drainStream(t, postVerify(t, ts.URL, VerifyRequest{Family: "sb", ISA: "base", Variant: "curr", Backend: "both"}))
+	verdicts, sum := drainStream(t, postVerify(t, ts.URL, api.VerifyRequest{Family: "sb", ISA: "base", Variant: "curr", Backend: "both"}))
 	for _, v := range verdicts {
 		if v.Verdict == "Divergence" {
 			t.Fatalf("%s on %s diverged: %+v", v.Test, v.Stack, v.Divergence)
@@ -152,7 +152,7 @@ func TestVerifyBackendBothDivergence(t *testing.T) {
 	opsim.SetMiswired(true)
 	defer opsim.SetMiswired(false)
 	s, ts := newTestServer(t, Config{})
-	verdicts, sum := drainStream(t, postVerify(t, ts.URL, VerifyRequest{Family: "sb", ISA: "base", Models: []string{scSpec}, Backend: "both"}))
+	verdicts, sum := drainStream(t, postVerify(t, ts.URL, api.VerifyRequest{Family: "sb", ISA: "base", Models: []string{scSpec}, Backend: "both"}))
 	var diverged int
 	for _, v := range verdicts {
 		if v.Verdict != "Divergence" {

@@ -48,7 +48,7 @@ func keyFilter(keys []string) func(string) bool {
 // renumbered to the merged frame, this coordinator's trace ID stamped
 // on every record.
 func (s *Server) handleFleetVerify(w http.ResponseWriter, r *http.Request) {
-	var req VerifyRequest
+	var req api.VerifyRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -156,7 +156,7 @@ func (s *Server) handleFleetVerify(w http.ResponseWriter, r *http.Request) {
 		}
 		s.log.Printf("verify[%s]: fleet sweep aborted: %v", traceHex, err)
 		rc.SetWriteDeadline(time.Now().Add(writeTimeout))
-		enc.Encode(ErrorRecord{Type: "error", Error: err.Error()})
+		enc.Encode(api.ErrorRecord{Type: "error", Error: err.Error()})
 		flush()
 		return
 	}

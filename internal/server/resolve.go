@@ -62,7 +62,7 @@ func badFields(fields []string, format string, args ...any) *BadRequestError {
 // resolve validates a request against the constraint matrix above and
 // returns the sweep's tests, stacks and backend. Any error is a
 // *BadRequestError.
-func resolve(req *VerifyRequest) ([]*litmus.Test, []core.Stack, core.Backend, error) {
+func resolve(req *api.VerifyRequest) ([]*litmus.Test, []core.Stack, core.Backend, error) {
 	backend, err := core.ParseBackend(req.Backend)
 	if err != nil {
 		return nil, nil, 0, badField("backend", "%v", err)
@@ -84,7 +84,7 @@ func resolve(req *VerifyRequest) ([]*litmus.Test, []core.Stack, core.Backend, er
 }
 
 // resolveTests applies the litmus/suite/family selector rules.
-func resolveTests(req *VerifyRequest) ([]*litmus.Test, *BadRequestError) {
+func resolveTests(req *api.VerifyRequest) ([]*litmus.Test, *BadRequestError) {
 	var set []string
 	if len(req.Litmus) > 0 {
 		set = append(set, "litmus")
@@ -130,7 +130,7 @@ func resolveTests(req *VerifyRequest) ([]*litmus.Test, *BadRequestError) {
 }
 
 // resolveStacks applies the isa/variant/models selector rules.
-func resolveStacks(req *VerifyRequest) ([]core.Stack, *BadRequestError) {
+func resolveStacks(req *api.VerifyRequest) ([]core.Stack, *BadRequestError) {
 	isa := req.ISA
 	if isa == "" {
 		isa = "both"

@@ -52,7 +52,6 @@ import (
 	"tricheck/internal/mem"
 	"tricheck/internal/obs"
 	"tricheck/internal/report"
-	"tricheck/internal/uspec"
 )
 
 // maxRequestBytes bounds a /v1/verify body (inline litmus sources).
@@ -312,7 +311,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		s.handleFleetVerify(w, r)
 		return
 	}
-	var req VerifyRequest
+	var req api.VerifyRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -417,7 +416,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		arm()
-		rec := VerdictRecord{
+		rec := api.VerdictRecord{
 			Type:         "verdict",
 			Trace:        traceHex,
 			Done:         ev.Done,
@@ -464,7 +463,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		s.log.Printf("verify[%s]: aborted after %d/%d: %v", traceHex, tr.Done, tr.Total, out.err)
 		if clientOK {
 			rc.SetWriteDeadline(time.Now().Add(writeTimeout))
-			enc.Encode(ErrorRecord{Type: "error", Error: out.err.Error()})
+			enc.Encode(api.ErrorRecord{Type: "error", Error: out.err.Error()})
 			flush()
 		}
 		return
@@ -512,8 +511,8 @@ func uhbObservableOf(op *core.OpsimMemo) []string {
 }
 
 // Stats returns the service counter snapshot /v1/stats serves.
-func (s *Server) Stats() StatsRecord {
-	st := StatsRecord{
+func (s *Server) Stats() api.StatsRecord {
+	st := api.StatsRecord{
 		UptimeSeconds:    time.Since(s.start).Seconds(),
 		RequestsTotal:    s.requests.Value(),
 		RequestsInFlight: s.inflight.Value(),
@@ -540,18 +539,11 @@ func (s *Server) Stats() StatsRecord {
 	s.mu.Unlock()
 	st.TestsPerSecond = streamRate(st.VerdictsStreamed, busy)
 	if ms, ok := s.eng.MemoStats(); ok {
-		m := &MemoStatsJSON{Hits: ms.Hits, Misses: ms.Misses, Len: ms.Len, Cap: ms.Cap}
+		m := &api.MemoStatsJSON{Hits: ms.Hits, Misses: ms.Misses, Len: ms.Len, Cap: ms.Cap}
 		if lookups := ms.Hits + ms.Misses; lookups > 0 {
 			m.HitRate = float64(ms.Hits) / float64(lookups)
 		}
 		st.Memo = m
-	}
-	if reuse, rebuild := uspec.IncrementalStats(); reuse+rebuild > 0 {
-		st.Incremental = &IncrementalStatsJSON{
-			Reuse:      reuse,
-			Rebuild:    rebuild,
-			ReuseRatio: float64(reuse) / float64(reuse+rebuild),
-		}
 	}
 	if s.fleet != nil {
 		st.Fleet = s.fleet.StatsJSON()

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"tricheck/api"
 	"tricheck/internal/core"
 	"tricheck/internal/corpus"
 	"tricheck/internal/litmus"
@@ -30,7 +31,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	return s, ts
 }
 
-func postVerify(t *testing.T, url string, req VerifyRequest) *http.Response {
+func postVerify(t *testing.T, url string, req api.VerifyRequest) *http.Response {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -46,13 +47,13 @@ func postVerify(t *testing.T, url string, req VerifyRequest) *http.Response {
 // drainStreamE decodes a full NDJSON response into its verdicts and
 // terminal summary. It is error-returning (no t.Fatal) so goroutines
 // other than the test's may use it.
-func drainStreamE(resp *http.Response) ([]VerdictRecord, *SummaryRecord, error) {
+func drainStreamE(resp *http.Response) ([]api.VerdictRecord, *api.SummaryRecord, error) {
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		return nil, nil, fmt.Errorf("status %s", resp.Status)
 	}
-	var verdicts []VerdictRecord
-	var summary *SummaryRecord
+	var verdicts []api.VerdictRecord
+	var summary *api.SummaryRecord
 	sc := bufio.NewScanner(resp.Body)
 	sc.Buffer(make([]byte, 0, 64<<10), 64<<20)
 	for sc.Scan() {
@@ -64,13 +65,13 @@ func drainStreamE(resp *http.Response) ([]VerdictRecord, *SummaryRecord, error) 
 		}
 		switch probe.Type {
 		case "verdict":
-			var v VerdictRecord
+			var v api.VerdictRecord
 			if err := json.Unmarshal(sc.Bytes(), &v); err != nil {
 				return nil, nil, err
 			}
 			verdicts = append(verdicts, v)
 		case "summary":
-			summary = new(SummaryRecord)
+			summary = new(api.SummaryRecord)
 			if err := json.Unmarshal(sc.Bytes(), summary); err != nil {
 				return nil, nil, err
 			}
@@ -84,7 +85,7 @@ func drainStreamE(resp *http.Response) ([]VerdictRecord, *SummaryRecord, error) 
 	return verdicts, summary, nil
 }
 
-func drainStream(t *testing.T, resp *http.Response) ([]VerdictRecord, *SummaryRecord) {
+func drainStream(t *testing.T, resp *http.Response) ([]api.VerdictRecord, *api.SummaryRecord) {
 	t.Helper()
 	verdicts, summary, err := drainStreamE(resp)
 	if err != nil {
@@ -103,7 +104,7 @@ func TestVerifyRejectsBadRequests(t *testing.T) {
 	if get.StatusCode != http.StatusMethodNotAllowed {
 		t.Fatalf("GET /v1/verify → %d, want 405", get.StatusCode)
 	}
-	for name, req := range map[string]VerifyRequest{
+	for name, req := range map[string]api.VerifyRequest{
 		"no selector":      {},
 		"two selectors":    {Family: "mp", Suite: "paper"},
 		"unknown family":   {Family: "nope"},
@@ -138,7 +139,7 @@ func TestVerifyInlineLitmusSources(t *testing.T) {
 		srcs = append(srcs, src)
 	}
 	_, ts := newTestServer(t, Config{})
-	resp := postVerify(t, ts.URL, VerifyRequest{Litmus: srcs, ISA: "base", Variant: "curr"})
+	resp := postVerify(t, ts.URL, api.VerifyRequest{Litmus: srcs, ISA: "base", Variant: "curr"})
 	verdicts, summary := drainStream(t, resp)
 	want := 3 * 7 // 3 tests × 7 base/curr stacks
 	if len(verdicts) != want || summary == nil || summary.Total != want || summary.Done != want {
@@ -163,7 +164,7 @@ func TestVerifyInlineModelSpec(t *testing.T) {
 		OrderSameAddrRR: true, RespectDeps: true, Variant: uspec.Curr,
 	}
 	_, ts := newTestServer(t, Config{})
-	resp := postVerify(t, ts.URL, VerifyRequest{Family: "wrc", ISA: "base", Models: []string{impostor.EmitSpec()}})
+	resp := postVerify(t, ts.URL, api.VerifyRequest{Family: "wrc", ISA: "base", Models: []string{impostor.EmitSpec()}})
 	custom, customSum := drainStream(t, resp)
 	wantStack := "riscv-base-intuitive+nMM/riscv-curr"
 	if len(customSum.Stacks) != 1 || customSum.Stacks[0].Stack != wantStack {
@@ -173,7 +174,7 @@ func TestVerifyInlineModelSpec(t *testing.T) {
 		t.Fatalf("SC impostor tallies %+v, want bug-free and strict", customSum)
 	}
 
-	resp = postVerify(t, ts.URL, VerifyRequest{Family: "wrc", ISA: "base", Variant: "curr"})
+	resp = postVerify(t, ts.URL, api.VerifyRequest{Family: "wrc", ISA: "base", Variant: "curr"})
 	builtin, builtinSum := drainStream(t, resp)
 	builtinKeys := map[string]bool{}
 	builtinBugs := 0
@@ -198,7 +199,7 @@ func TestVerifyInlineModelSpec(t *testing.T) {
 	}
 	_ = builtinSum
 
-	for name, req := range map[string]VerifyRequest{
+	for name, req := range map[string]api.VerifyRequest{
 		"bad spec syntax":     {Family: "mp", Models: []string{"uarch nope"}},
 		"illegal spec":        {Family: "mp", Models: []string{"uspec x\nforwarding\norder-same-addr-rr\nrespect-deps\n"}},
 		"models plus variant": {Family: "mp", Variant: "curr", Models: []string{impostor.EmitSpec()}},
@@ -215,7 +216,7 @@ func TestVerifyInlineModelSpec(t *testing.T) {
 
 func TestStatsAndDebugVars(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
-	resp := postVerify(t, ts.URL, VerifyRequest{Family: "corr", ISA: "base", Variant: "curr"})
+	resp := postVerify(t, ts.URL, api.VerifyRequest{Family: "corr", ISA: "base", Variant: "curr"})
 	verdicts, _ := drainStream(t, resp)
 
 	st := s.Stats()
@@ -228,22 +229,12 @@ func TestStatsAndDebugVars(t *testing.T) {
 	if st.TestsPerSecond <= 0 {
 		t.Fatalf("tests/sec = %v, want > 0", st.TestsPerSecond)
 	}
-	// The sweep evaluated µhb candidates, so the incremental engine's
-	// reuse/rebuild counters (process-wide) must be populated and the
-	// precomputed ratio consistent with them.
-	if st.Incremental == nil || st.Incremental.Reuse+st.Incremental.Rebuild == 0 {
-		t.Fatalf("stats missing incremental engine counters: %+v", st)
-	}
-	inc := st.Incremental
-	if want := float64(inc.Reuse) / float64(inc.Reuse+inc.Rebuild); inc.ReuseRatio != want {
-		t.Fatalf("incremental reuse ratio %v, want %v", inc.ReuseRatio, want)
-	}
 
 	httpStats, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wire StatsRecord
+	var wire api.StatsRecord
 	if err := json.NewDecoder(httpStats.Body).Decode(&wire); err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +287,7 @@ func TestClientDisconnectStopsScheduling(t *testing.T) {
 	total := len(tests) * len(stacks)
 
 	ctx, cancel := context.WithCancel(context.Background())
-	body, _ := json.Marshal(VerifyRequest{Family: "iriw", ISA: isa, Variant: "both", Workers: 1})
+	body, _ := json.Marshal(api.VerifyRequest{Family: "iriw", ISA: isa, Variant: "both", Workers: 1})
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/verify", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -335,7 +326,7 @@ func TestClientDisconnectStopsScheduling(t *testing.T) {
 
 	// A follow-up full request completes, reuses the aborted run's
 	// memos, and matches a fresh engine bit for bit.
-	resp2 := postVerify(t, ts.URL, VerifyRequest{Family: "iriw", ISA: isa, Variant: "both"})
+	resp2 := postVerify(t, ts.URL, api.VerifyRequest{Family: "iriw", ISA: isa, Variant: "both"})
 	verdicts, summary := drainStream(t, resp2)
 	if len(verdicts) != total || summary == nil || summary.Done != total {
 		t.Fatalf("follow-up request: %d verdicts, summary %+v", len(verdicts), summary)
@@ -363,7 +354,7 @@ func TestConcurrentRequestsSurviveACancelledPeer(t *testing.T) {
 		defer wg.Done()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		body, _ := json.Marshal(VerifyRequest{Family: "sb", Workers: 1})
+		body, _ := json.Marshal(api.VerifyRequest{Family: "sb", Workers: 1})
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/verify", bytes.NewReader(body))
 		if err != nil {
 			t.Error(err)
@@ -379,7 +370,7 @@ func TestConcurrentRequestsSurviveACancelledPeer(t *testing.T) {
 		resp.Body.Close()
 	}()
 
-	resp := postVerify(t, ts.URL, VerifyRequest{Family: "mp", ISA: "base", Variant: "both"})
+	resp := postVerify(t, ts.URL, api.VerifyRequest{Family: "mp", ISA: "base", Variant: "both"})
 	verdicts, summary := drainStream(t, resp)
 	wg.Wait()
 
@@ -408,7 +399,7 @@ func TestConcurrentRequestsSurviveACancelledPeer(t *testing.T) {
 
 // assertSummaryMatches checks a wire summary against in-process suite
 // results: same stack order, same overall and per-family tallies.
-func assertSummaryMatches(t *testing.T, summary *SummaryRecord, ref []*core.SuiteResult) {
+func assertSummaryMatches(t *testing.T, summary *api.SummaryRecord, ref []*core.SuiteResult) {
 	t.Helper()
 	if summary == nil {
 		t.Fatal("no summary record")
@@ -429,7 +420,7 @@ func assertSummaryMatches(t *testing.T, summary *SummaryRecord, ref []*core.Suit
 			t.Fatalf("stack %s: %d families, want %d", ss.Stack, len(ss.Families), len(fams))
 		}
 		for j, fam := range fams {
-			want := FamilyTally{Family: fam, TallyJSON: tallyJSON(*sr.ByFamily[fam])}
+			want := api.FamilyTally{Family: fam, TallyJSON: tallyJSON(*sr.ByFamily[fam])}
 			if ss.Families[j] != want {
 				t.Fatalf("stack %s family %s: %+v, want %+v", ss.Stack, fam, ss.Families[j], want)
 			}
@@ -448,7 +439,7 @@ func TestLimiterQueuesRequests(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			body, err := json.Marshal(VerifyRequest{Family: "corr", ISA: "base", Variant: "curr"})
+			body, err := json.Marshal(api.VerifyRequest{Family: "corr", ISA: "base", Variant: "curr"})
 			if err != nil {
 				errs[i] = err
 				return
@@ -493,7 +484,7 @@ func TestHealthz(t *testing.T) {
 }
 
 func TestResolveSuitePaper(t *testing.T) {
-	tests, stacks, backend, err := resolve(&VerifyRequest{Suite: "paper", ISA: "base", Variant: "curr"})
+	tests, stacks, backend, err := resolve(&api.VerifyRequest{Suite: "paper", ISA: "base", Variant: "curr"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -74,9 +74,6 @@ func NewMachine(n int, cfg Config) *Machine {
 	return &Machine{cfg: cfg, n: n, clock: make([]float64, n), sb: make([]int, n)}
 }
 
-// Cores returns the active core count.
-func (m *Machine) Cores() int { return m.n }
-
 // Contention returns the shared-memory slowdown factor for the current
 // core count.
 func (m *Machine) Contention() float64 { return 1 + m.cfg.Alpha*float64(m.n-1) }

@@ -16,6 +16,11 @@ import (
 // worker via AcquireOverlay, Reset it per execution, and release it when
 // the sweep ends.
 //
+// HasCycle keeps a topological order of the bound skeleton across
+// Resets (see HasCycle), so consecutive candidates of one sweep, whose
+// dynamic edges mostly agree, pay only for the edges that disagree with
+// the order the previous candidates left behind.
+//
 // Unlike Graph and Skeleton, an Overlay does not deduplicate edges:
 // duplicates cannot change acyclicity, the number of AddEdge calls is
 // already bounded by the builder's work, and skipping the lookup keeps
@@ -27,27 +32,29 @@ type Overlay struct {
 	// Dynamic adjacency as per-node singly linked lists threaded through
 	// shared buffers: head[v] is the first edge index of node v or -1,
 	// next[e] chains, from[e]/to[e]/reason[e] describe edge e. Lists are
-	// built head-first; the cycle check does not depend on traversal order.
-	// RetractEdge unlinks a record and tombstones it (to[e] = -1); the
-	// arrays are append-only so edge indices stay stable for Checkpoint.
+	// built head-first; the cycle checks do not depend on traversal order.
 	head   []int32
 	next   []int32
 	from   []int32
 	to     []int32
 	reason []uint32
-	live   int // non-tombstoned edge records
 
-	// Dynamic adjacency as a bitset: row v is
-	// bits[v*words : (v+1)*words], bit y set iff at least one live
-	// (v, y) record exists. Backs O(1) HasEdge and the word-parallel
-	// delta diff in Incr.Sync; dirty lists the rows with any bit ever
-	// set since Reset so Reset clears only what was touched.
-	words      int
-	bits       []uint64
-	dirty      []int32
-	rowTouched []bool
+	// Topological order of skel: pos[v] is node v's position and ord the
+	// inverse permutation. Valid while ordered; skelCyclic records that
+	// Kahn's algorithm found no order at all.
+	ordered    bool
+	skelCyclic bool
+	pos        []int32
+	ord        []int32
 
-	// Cycle-check scratch, sized to the node count.
+	// Order-repair scratch: epoch-stamped visited marks (also Kahn's
+	// in-degree counts), the search stack and the shifted node set.
+	mark  []uint32
+	epoch uint32
+	stack []int32
+	moved []int32
+
+	// HasCycleReasons DFS scratch, sized to the node count.
 	color []byte
 	fnode []int32  // DFS stack: node per frame
 	fsidx []int32  // next static-CSR index to explore
@@ -64,217 +71,221 @@ func NewOverlay(skel *Skeleton) *Overlay {
 
 // Reset rebinds the overlay to skel (which may differ from the previous
 // binding) and discards all dynamic edges, retaining buffer capacity.
+// Resetting to the bound skeleton keeps HasCycle's topological order;
+// rebinding drops it. A bound skeleton must stay alive (not go back
+// through ReleaseSkeleton) while the overlay is bound to it.
 func (o *Overlay) Reset(skel *Skeleton) {
 	if !skel.frozen {
 		panic("uhb: Overlay.Reset on unfrozen Skeleton")
 	}
-	sameShape := o.skel == skel
+	if skel != o.skel {
+		o.ordered = false
+	}
 	o.skel = skel
 	n := skel.n
-	words := (n + 63) / 64
 	if cap(o.head) < n {
 		o.head = make([]int32, n)
+		o.pos = make([]int32, n)
+		o.ord = make([]int32, n)
+		o.mark = make([]uint32, n)
+		o.stack = make([]int32, 0, n)
+		o.moved = make([]int32, 0, n)
 		o.color = make([]byte, n)
 		o.fnode = make([]int32, n)
 		o.fsidx = make([]int32, n)
 		o.fdyn = make([]int32, n)
 		o.fvia = make([]uint32, n)
-		o.rowTouched = make([]bool, n)
 	}
 	o.head = o.head[:n]
+	o.pos = o.pos[:n]
+	o.ord = o.ord[:n]
+	o.mark = o.mark[:n]
 	o.color = o.color[:n]
 	o.fnode = o.fnode[:n]
 	o.fsidx = o.fsidx[:n]
 	o.fdyn = o.fdyn[:n]
 	o.fvia = o.fvia[:n]
-	o.rowTouched = o.rowTouched[:n]
 	for i := range o.head {
 		o.head[i] = -1
 	}
-	if cap(o.bits) < n*words {
-		o.bits = make([]uint64, n*words)
-		sameShape = false // fresh buffer is already zero
-	}
-	o.bits = o.bits[:n*words]
-	if sameShape && o.words == words {
-		// Steady state within one sweep: clear only the rows the previous
-		// candidate touched.
-		for _, v := range o.dirty {
-			row := o.bits[int(v)*words : (int(v)+1)*words]
-			for j := range row {
-				row[j] = 0
-			}
-			o.rowTouched[v] = false
-		}
-	} else {
-		// Rebinding to a different skeleton (or a pooled overlay with a
-		// stale buffer): start from a clean slate.
-		for i := range o.bits {
-			o.bits[i] = 0
-		}
-		for i := range o.rowTouched {
-			o.rowTouched[i] = false
-		}
-	}
-	o.words = words
-	o.dirty = o.dirty[:0]
 	o.next = o.next[:0]
 	o.from = o.from[:0]
 	o.to = o.to[:0]
 	o.reason = o.reason[:0]
-	o.live = 0
 }
-
-// NumNodes returns the node count of the bound skeleton.
-func (o *Overlay) NumNodes() int { return o.skel.n }
-
-// NumDynamicEdges returns the number of live dynamic edge records
-// (duplicates included, retracted records excluded).
-func (o *Overlay) NumDynamicEdges() int { return o.live }
-
-// Skeleton returns the bound static tier.
-func (o *Overlay) Skeleton() *Skeleton { return o.skel }
 
 // AddEdge records a dynamic edge with an opaque reason code.
 func (o *Overlay) AddEdge(from, to int, reason uint32) {
 	if from < 0 || from >= o.skel.n || to < 0 || to >= o.skel.n {
 		panic(fmt.Sprintf("uhb: overlay edge (%d,%d) out of range [0,%d)", from, to, o.skel.n))
 	}
-	e := int32(len(o.to))
 	o.next = append(o.next, o.head[from])
+	o.head[from] = int32(len(o.to))
 	o.from = append(o.from, int32(from))
 	o.to = append(o.to, int32(to))
 	o.reason = append(o.reason, reason)
-	o.head[from] = e
-	o.live++
-	o.bits[from*o.words+to>>6] |= 1 << (uint(to) & 63)
-	if !o.rowTouched[from] {
-		o.rowTouched[from] = true
-		o.dirty = append(o.dirty, int32(from))
-	}
 }
 
-// HasEdge reports whether the edge exists in either tier. The dynamic
-// tier is answered from the bitset rows in O(1) instead of scanning the
-// node's edge list.
+// HasEdge reports whether the edge exists in either tier.
 func (o *Overlay) HasEdge(from, to int) bool {
-	if from >= 0 && from < o.skel.n && to >= 0 && to < o.skel.n &&
-		o.bits[from*o.words+to>>6]&(1<<(uint(to)&63)) != 0 {
-		return true
+	if from >= 0 && from < o.skel.n {
+		for e := o.head[from]; e >= 0; e = o.next[e] {
+			if int(o.to[e]) == to {
+				return true
+			}
+		}
 	}
 	return o.skel.HasEdge(from, to)
 }
 
-// RetractEdge removes the most recently added live record of the edge
-// (from, to) and reports whether one existed. Retraction unlinks the
-// record from the adjacency list and tombstones it in place, so earlier
-// Checkpoint marks stay valid; the bitset row bit is cleared only when
-// no duplicate record of the edge remains.
-func (o *Overlay) RetractEdge(from, to int) bool {
-	if from < 0 || from >= o.skel.n || to < 0 || to >= o.skel.n {
-		return false
+// ForEachDynamicEdge visits every dynamic edge record in insertion order
+// with its reason code.
+func (o *Overlay) ForEachDynamicEdge(fn func(from, to int, reason uint32)) {
+	for e := range o.to {
+		fn(int(o.from[e]), int(o.to[e]), o.reason[e])
 	}
-	prev := int32(-1)
-	for e := o.head[from]; e >= 0; e = o.next[e] {
-		if int(o.to[e]) != to {
-			prev = e
-			continue
-		}
-		if prev < 0 {
-			o.head[from] = o.next[e]
-		} else {
-			o.next[prev] = o.next[e]
-		}
-		o.to[e] = -1 // tombstone
-		o.live--
-		if !o.rowHasTarget(from, to) {
-			o.bits[from*o.words+to>>6] &^= 1 << (uint(to) & 63)
-		}
-		return true
-	}
-	return false
 }
 
-// rowHasTarget reports whether any live record (from, to) remains in
-// from's adjacency list.
-func (o *Overlay) rowHasTarget(from, to int) bool {
-	for e := o.head[from]; e >= 0; e = o.next[e] {
-		if int(o.to[e]) == to {
+// HasCycle reports whether skeleton+overlay contains a directed cycle.
+//
+// The overlay keeps a topological order of its bound skeleton, computed
+// once per binding with Kahn's algorithm and carried across Resets.
+// Dynamic edges the order already respects cost one comparison; each
+// other edge (x, y) is inserted with the bounded forward search of
+// Marchetti-Spaccamela, Nanni and Rohnert, which explores what y
+// reaches strictly between pos[y] and pos[x]. Reaching x closes a
+// cycle; otherwise the explored nodes move to just after x, which keeps
+// every edge that pointed forward pointing forward. So when every edge
+// is inserted the order is valid for skeleton + overlay, and it stays
+// valid for the skeleton alone, ready for the next candidate.
+// Allocation-free in steady state.
+func (o *Overlay) HasCycle() bool {
+	if !o.ordered {
+		o.orderSkeleton()
+	}
+	if o.skelCyclic {
+		return true
+	}
+	for e := range o.to {
+		if !o.insert(o.from[e], o.to[e]) {
 			return true
 		}
 	}
 	return false
 }
 
-// OverlayMark is a Checkpoint token: the edge-record high-water mark.
-type OverlayMark int
-
-// Checkpoint returns a mark capturing the current dynamic edge set.
-// Restore with it to drop every edge added afterwards — the
-// backtracking primitive delta-ordered enumeration uses instead of a
-// full Reset. Between Checkpoint and Restore only edges added after the
-// mark may be retracted; retracting a pre-mark edge invalidates the
-// mark.
-func (o *Overlay) Checkpoint() OverlayMark { return OverlayMark(len(o.to)) }
-
-// Restore truncates the dynamic edge set back to a Checkpoint mark.
-func (o *Overlay) Restore(m OverlayMark) {
-	mark := int(m)
-	if mark < 0 || mark > len(o.to) {
-		panic(fmt.Sprintf("uhb: Restore mark %d out of range [0,%d]", mark, len(o.to)))
+// orderSkeleton computes the skeleton's topological order with Kahn's
+// algorithm, using ord itself as the FIFO queue.
+func (o *Overlay) orderSkeleton() {
+	s := o.skel
+	indeg := o.mark
+	clear(indeg)
+	for _, w := range s.dst {
+		indeg[w]++
 	}
-	for e := len(o.to) - 1; e >= mark; e-- {
-		if o.to[e] < 0 {
-			continue // already retracted; not on any list
-		}
-		// Popping in reverse insertion order, every live record later
-		// than e is gone, so e is the head of its node's list.
-		v := o.from[e]
-		o.head[v] = o.next[e]
-		o.live--
-		if !o.rowHasTarget(int(v), int(o.to[e])) {
-			o.bits[int(v)*o.words+int(o.to[e])>>6] &^= 1 << (uint(o.to[e]) & 63)
+	ord := o.ord[:0]
+	for v := range s.n {
+		if indeg[v] == 0 {
+			ord = append(ord, int32(v))
 		}
 	}
-	o.next = o.next[:mark]
-	o.from = o.from[:mark]
-	o.to = o.to[:mark]
-	o.reason = o.reason[:mark]
+	for i := 0; i < len(ord); i++ {
+		v := ord[i]
+		o.pos[v] = int32(i)
+		for j := s.off[v]; j < s.off[v+1]; j++ {
+			w := s.dst[j]
+			indeg[w]--
+			if indeg[w] == 0 {
+				ord = append(ord, w)
+			}
+		}
+	}
+	o.skelCyclic = len(ord) < s.n
+	clear(o.mark)
+	o.epoch = 0
+	o.ordered = true
 }
 
-// ForEachDynamicEdge visits every live dynamic edge record in insertion
-// order with its reason code.
-func (o *Overlay) ForEachDynamicEdge(fn func(from, to int, reason uint32)) {
-	for e := range o.to {
-		if o.to[e] < 0 {
+// insert makes the edge (x, y) point forward, repairing the order if y
+// precedes x, or reports false when y reaches x — the edge closes a
+// cycle — leaving the order untouched.
+func (o *Overlay) insert(x, y int32) bool {
+	px, py := o.pos[x], o.pos[y]
+	if py > px {
+		return true
+	}
+	if x == y {
+		return false
+	}
+	o.epoch++
+	if o.epoch == 0 {
+		clear(o.mark)
+		o.epoch = 1
+	}
+	epoch := o.epoch
+	s := o.skel
+	o.mark[y] = epoch
+	stack := append(o.stack[:0], y)
+	for len(stack) > 0 {
+		v := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for i := s.off[v]; i < s.off[v+1]; i++ {
+			w := s.dst[i]
+			if w == x {
+				o.stack = stack
+				return false
+			}
+			if p := o.pos[w]; p > py && p < px && o.mark[w] != epoch {
+				o.mark[w] = epoch
+				stack = append(stack, w)
+			}
+		}
+		for e := o.head[v]; e >= 0; e = o.next[e] {
+			w := o.to[e]
+			if w == x {
+				o.stack = stack
+				return false
+			}
+			if p := o.pos[w]; p > py && p < px && o.mark[w] != epoch {
+				o.mark[w] = epoch
+				stack = append(stack, w)
+			}
+		}
+	}
+	o.stack = stack
+	// Compact the unexplored nodes of [py, px], x last, then place the
+	// explored ones after x, each group in its old order.
+	moved := o.moved[:0]
+	at := py
+	for i := py; i <= px; i++ {
+		v := o.ord[i]
+		if o.mark[v] == epoch {
+			moved = append(moved, v)
 			continue
 		}
-		fn(int(o.from[e]), int(o.to[e]), o.reason[e])
+		o.ord[at] = v
+		o.pos[v] = at
+		at++
 	}
-}
-
-// HasCycle reports whether skeleton+overlay contains a directed cycle.
-// The search is iterative (explicit stack) and allocation-free: all
-// scratch lives in the overlay's reusable buffers, so deep graphs from
-// synthesized variants can neither overflow a goroutine stack nor
-// allocate per call.
-func (o *Overlay) HasCycle() bool {
-	_, cyclic := o.cycle(false, nil)
-	return cyclic
+	for _, v := range moved {
+		o.ord[at] = v
+		o.pos[v] = at
+		at++
+	}
+	o.moved = moved
+	return true
 }
 
 // HasCycleReasons is HasCycle with provenance: when a cycle exists, the
 // reason codes of every edge on the first cycle found (in traversal
-// order, duplicates preserved) are appended to buf. The search is the
-// same deterministic DFS as HasCycle, so the witnessing cycle — and
-// therefore the reason multiset — is stable for a given skeleton,
-// overlay contents, and insertion order. Pass a buffer with spare
-// capacity (e.g. a reused buf[:0]) to keep the call allocation-free.
+// order, duplicates preserved) are appended to buf. The search is a
+// deterministic full DFS, independent of HasCycle's order, so the
+// witnessing cycle — and therefore the reason multiset — is stable for a
+// given skeleton, overlay contents, and insertion order. The search is
+// iterative (explicit stack), so deep graphs from synthesized variants
+// cannot overflow a goroutine stack. Pass a buffer with spare capacity
+// (e.g. a reused buf[:0]) to keep the call allocation-free.
 func (o *Overlay) HasCycleReasons(buf []uint32) ([]uint32, bool) {
-	return o.cycle(true, buf)
-}
-
-func (o *Overlay) cycle(collect bool, buf []uint32) ([]uint32, bool) {
 	const (
 		white = 0 // unvisited
 		gray  = 1 // on stack
@@ -323,20 +334,18 @@ func (o *Overlay) cycle(collect bool, buf []uint32) ([]uint32, bool) {
 				o.fvia[sp] = r
 				sp++
 			case gray:
-				if collect {
-					// w is gray, so it sits somewhere on the DFS stack;
-					// the cycle is w → … → v → w. The frames above w's
-					// record the reason each was entered through, and r
-					// closes the loop.
-					j := f
-					for o.fnode[j] != w {
-						j--
-					}
-					for k := j + 1; k <= f; k++ {
-						buf = append(buf, o.fvia[k])
-					}
-					buf = append(buf, r)
+				// w is gray, so it sits somewhere on the DFS stack; the
+				// cycle is w → … → v → w. The frames above w's record
+				// the reason each was entered through, and r closes the
+				// loop.
+				j := f
+				for o.fnode[j] != w {
+					j--
 				}
+				for k := j + 1; k <= f; k++ {
+					buf = append(buf, o.fvia[k])
+				}
+				buf = append(buf, r)
 				return buf, true
 			}
 		}
@@ -356,9 +365,10 @@ func AcquireOverlay(skel *Skeleton) *Overlay {
 	return o
 }
 
-// ReleaseOverlay returns an overlay to the pool. The caller must not use
-// it afterwards.
+// ReleaseOverlay returns an overlay to the pool, dropping its skeleton
+// binding and topological order. The caller must not use it afterwards.
 func ReleaseOverlay(o *Overlay) {
 	o.skel = nil
+	o.ordered = false
 	overlayPool.Put(o)
 }

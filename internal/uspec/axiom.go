@@ -71,10 +71,3 @@ type Coverage struct {
 	// cycle that forbade a candidate execution during this evaluation.
 	Cycle uint64
 }
-
-// Merge folds another coverage record into c.
-func (c *Coverage) Merge(o Coverage) {
-	c.Fired |= o.Fired
-	c.Edges |= o.Edges
-	c.Cycle |= o.Cycle
-}

@@ -22,22 +22,7 @@ var (
 	phaseSkeleton  = obs.Default.Histogram("tricheck_verdict_phase_seconds", phaseHelp, nil, obs.L("phase", "skeleton"))
 	phaseEnumerate = obs.Default.Histogram("tricheck_verdict_phase_seconds", phaseHelp, nil, obs.L("phase", "enumerate"))
 	phaseCycle     = obs.Default.Histogram("tricheck_verdict_phase_seconds", phaseHelp, nil, obs.L("phase", "cycle_check"))
-
-	// Incremental-engine effectiveness: how many candidate verdicts
-	// reused the maintained topological order versus paid a from-scratch
-	// rebuild (first candidate of each prepared evaluation). Accumulated
-	// per Prepared and flushed on Close to keep the innermost loop free
-	// of atomics.
-	incrReuse   = obs.Default.Counter("tricheck_uhb_incremental_reuse_total", "Candidate acyclicity verdicts that reused the incremental topological order.")
-	incrRebuild = obs.Default.Counter("tricheck_uhb_incremental_rebuild_total", "Candidate acyclicity verdicts that rebuilt the topological order from scratch.")
 )
-
-// IncrementalStats returns the process-wide incremental-engine counters
-// (verdicts that reused the maintained order vs. rebuilt it), for the
-// /v1/stats endpoint and the `tricheck top` report.
-func IncrementalStats() (reuse, rebuild uint64) {
-	return incrReuse.Value(), incrRebuild.Value()
-}
 
 // Prepared is a model × program pair compiled for repeated evaluation: the
 // static µhb skeleton (node layout, pipeline/path order, execution-
@@ -60,26 +45,11 @@ type Prepared struct {
 	p    *isa.Program
 	skel *uhb.Skeleton
 	ov   *uhb.Overlay
-	incr *uhb.Incr // incremental acyclicity tier, shared across candidates
-	dyn  builder   // tierDynamic template; x/ov bound per execution
+	dyn  builder // tierDynamic template; x/ov bound per execution
 
 	cov    Coverage // axiom attribution, accumulated across the evaluation
 	cycBuf []uint32 // reused cycle-provenance buffer
-
-	// Local reuse/rebuild tallies, flushed to the obs counters on Close.
-	reuse, rebuild uint64
-
-	deltaOrder bool // Evaluate enumerates in minimal-change order
 }
-
-// SetDeltaOrder switches Evaluate to mem.EnumerateDelta's minimal-change
-// candidate order, which maximizes how much of the incremental tier's
-// topological order consecutive candidates reuse. Off by default: the
-// verdict and outcome sets are identical either way, but order-derived
-// statistics (the Graphs counter, which graphs feed coverage
-// accumulation) follow the enumeration order, and the committed golden
-// locks pin the natural backtracking order's values.
-func (pr *Prepared) SetDeltaOrder(on bool) { pr.deltaOrder = on }
 
 // Prepare builds the static skeleton of p under the model's axioms and
 // returns an evaluator that streams executions through it. Release the
@@ -102,7 +72,6 @@ func (m *Model) Prepare(p *isa.Program) *Prepared {
 	phaseSkeleton.Observe(time.Since(start))
 	pr.skel = sb.skel
 	pr.ov = uhb.AcquireOverlay(sb.skel)
-	pr.incr = uhb.AcquireIncr(sb.skel)
 	pr.dyn = builder{m: m, p: p, ev: ev, C: C, K: K, mode: tierDynamic, cov: &pr.cov}
 	return pr
 }
@@ -116,15 +85,13 @@ func (pr *Prepared) Coverage() Coverage { return pr.cov }
 func (pr *Prepared) Skeleton() *uhb.Skeleton { return pr.skel }
 
 // ExecutionObservable reports whether execution x is observable on the
-// model: whether skeleton + x's overlay is acyclic. The verdict comes
-// from the incremental tier: the overlay is rebuilt per candidate as
-// before (coverage attribution happens at emission), but instead of a
-// full DFS the engine diffs the overlay's bitset rows against the edge
-// set it already holds and repairs its maintained topological order
-// edge by edge. A forbidding cycle still records provenance through the
-// retained full DFS — the witnessing cycle, and therefore the axiom
-// multiset OR-ed into the coverage Cycle bitset, is bit-identical to
-// the pre-incremental path.
+// model: whether skeleton + x's overlay is acyclic. The overlay is
+// rebuilt per candidate (coverage attribution happens at emission) and
+// its HasCycle repairs the topological order the previous candidates
+// left behind. Only a forbidding cycle pays for the full DFS, which
+// records provenance: the witnessing cycle, and therefore the axiom
+// multiset OR-ed into the coverage Cycle bitset, depends only on the
+// overlay's contents.
 func (pr *Prepared) ExecutionObservable(x *mem.Execution) bool {
 	pr.ov.Reset(pr.skel)
 	b := &pr.dyn
@@ -132,13 +99,7 @@ func (pr *Prepared) ExecutionObservable(x *mem.Execution) bool {
 	b.ov = pr.ov
 	b.run()
 	b.x, b.ov = nil, nil
-	cyclic, fresh := pr.incr.Sync(pr.ov)
-	if fresh {
-		pr.rebuild++
-	} else {
-		pr.reuse++
-	}
-	if cyclic {
+	if pr.ov.HasCycle() {
 		reasons, _ := pr.ov.HasCycleReasons(pr.cycBuf[:0])
 		for _, r := range reasons {
 			pr.cov.Cycle |= axiomBit(Reason(r))
@@ -149,28 +110,16 @@ func (pr *Prepared) ExecutionObservable(x *mem.Execution) bool {
 	return true
 }
 
-// Close returns the pooled overlay and incremental engine, and flushes
-// the reuse tallies. The Prepared must not be used after.
+// Close returns the pooled overlay and skeleton. The Prepared must not be
+// used after.
 func (pr *Prepared) Close() {
 	if pr.ov != nil {
 		uhb.ReleaseOverlay(pr.ov)
 		pr.ov = nil
 	}
-	if pr.incr != nil {
-		uhb.ReleaseIncr(pr.incr)
-		pr.incr = nil
-	}
 	if pr.skel != nil {
 		uhb.ReleaseSkeleton(pr.skel)
 		pr.skel = nil
-	}
-	if pr.reuse > 0 {
-		incrReuse.Add(pr.reuse)
-		pr.reuse = 0
-	}
-	if pr.rebuild > 0 {
-		incrRebuild.Add(pr.rebuild)
-		pr.rebuild = 0
 	}
 }
 
@@ -192,11 +141,7 @@ func (pr *Prepared) Evaluate() (*Result, error) {
 	// single atomic load per checked graph decides, and only every Nth
 	// check pays for two monotonic clock reads.
 	sampleN := uint64(obs.CycleSampling())
-	enum := mem.Enumerate
-	if pr.deltaOrder {
-		enum = mem.EnumerateDelta
-	}
-	err := enum(pr.p.Mem(), func(x *mem.Execution) bool {
+	err := mem.Enumerate(pr.p.Mem(), func(x *mem.Execution) bool {
 		res.Candidates++
 		_, id := cache.Lookup(x)
 		if id == len(obsv) {

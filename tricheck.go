@@ -192,11 +192,6 @@ func SetVerdictSampling(n int) { obs.SetVerdictSampling(n) }
 // zero-overhead verdict hot path).
 func SetCycleSampling(n int) { obs.SetCycleSampling(n) }
 
-// IncrementalStats returns the process-wide µhb incremental-engine
-// counters: candidate acyclicity verdicts that reused the maintained
-// topological order vs. rebuilt it from scratch.
-func IncrementalStats() (reuse, rebuild uint64) { return uspec.IncrementalStats() }
-
 // WriteMetricsJSON dumps the process metrics registry as indented JSON
 // (the -metrics-out format).
 func WriteMetricsJSON(w io.Writer) error { return obs.Default.WriteJSON(w) }
