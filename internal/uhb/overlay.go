@@ -25,7 +25,8 @@ import (
 // duplicates cannot change acyclicity, the number of AddEdge calls is
 // already bounded by the builder's work, and skipping the lookup keeps
 // the hot path branch-free. Reason codes are stored but never resolved
-// here; diagnostics always go through the materialized Graph path.
+// here: diagnostics read them through ForEachDynamicEdge when they copy
+// skeleton and overlay into a Graph.
 type Overlay struct {
 	skel *Skeleton
 
@@ -124,18 +125,6 @@ func (o *Overlay) AddEdge(from, to int, reason uint32) {
 	o.from = append(o.from, int32(from))
 	o.to = append(o.to, int32(to))
 	o.reason = append(o.reason, reason)
-}
-
-// HasEdge reports whether the edge exists in either tier.
-func (o *Overlay) HasEdge(from, to int) bool {
-	if from >= 0 && from < o.skel.n {
-		for e := o.head[from]; e >= 0; e = o.next[e] {
-			if int(o.to[e]) == to {
-				return true
-			}
-		}
-	}
-	return o.skel.HasEdge(from, to)
 }
 
 // ForEachDynamicEdge visits every dynamic edge record in insertion order

@@ -182,19 +182,9 @@ func (s *Skeleton) Freeze() {
 	s.bFrom, s.bTo, s.bReason = s.bFrom[:0], s.bTo[:0], s.bReason[:0]
 }
 
-// HasEdge reports whether the static edge exists (valid after Freeze).
-func (s *Skeleton) HasEdge(from, to int) bool {
-	_, ok := s.findEdge(from, to)
-	return ok
-}
-
 // Reason returns the reason code of a static edge and whether it exists
 // (valid after Freeze).
 func (s *Skeleton) Reason(from, to int) (uint32, bool) {
-	return s.findEdge(from, to)
-}
-
-func (s *Skeleton) findEdge(from, to int) (uint32, bool) {
 	if !s.frozen || from < 0 || from >= s.n {
 		return 0, false
 	}

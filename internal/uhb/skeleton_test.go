@@ -16,10 +16,12 @@ func TestSkeletonCSRAndDedup(t *testing.T) {
 	if s.NumEdges() != 3 {
 		t.Fatalf("NumEdges = %d, want 3", s.NumEdges())
 	}
-	if !s.HasEdge(0, 1) || !s.HasEdge(0, 2) || !s.HasEdge(2, 3) {
-		t.Fatal("missing edges after freeze")
+	for _, e := range [][2]int{{0, 1}, {0, 2}, {2, 3}} {
+		if _, ok := s.Reason(e[0], e[1]); !ok {
+			t.Fatalf("missing edge %v after freeze", e)
+		}
 	}
-	if s.HasEdge(1, 0) {
+	if _, ok := s.Reason(1, 0); ok {
 		t.Fatal("phantom edge")
 	}
 	if r, ok := s.Reason(0, 1); !ok || r != 7 {
@@ -64,27 +66,27 @@ func TestOverlayCycleAcrossTiers(t *testing.T) {
 	}
 }
 
+// TestOverlayHasEdgeBothTiers: an overlay keeps the tiers apart. Static
+// edges are read through its skeleton, dynamic ones (with their reason
+// codes) through ForEachDynamicEdge.
 func TestOverlayHasEdgeBothTiers(t *testing.T) {
 	s := NewSkeleton(3)
 	s.AddEdge(0, 1, 0)
 	s.Freeze()
 	o := NewOverlay(s)
 	o.AddEdge(1, 2, 3)
-	if !o.HasEdge(0, 1) {
-		t.Error("static edge must be visible through the overlay")
+	if r, ok := o.skel.Reason(0, 1); !ok || r != 0 {
+		t.Errorf("static edge through the overlay's skeleton = %d,%v, want 0,true", r, ok)
 	}
-	if !o.HasEdge(1, 2) {
-		t.Error("dynamic edge missing")
+	if _, ok := o.skel.Reason(1, 2); ok {
+		t.Error("dynamic edge leaked into the skeleton")
 	}
-	if o.HasEdge(2, 0) {
-		t.Error("phantom edge")
-	}
-	var dyn [][2]int
+	var dyn [][3]int
 	o.ForEachDynamicEdge(func(from, to int, reason uint32) {
-		dyn = append(dyn, [2]int{from, to})
+		dyn = append(dyn, [3]int{from, to, int(reason)})
 	})
-	if len(dyn) != 1 || dyn[0] != [2]int{1, 2} {
-		t.Errorf("dynamic edges = %v, want [[1 2]]", dyn)
+	if len(dyn) != 1 || dyn[0] != [3]int{1, 2, 3} {
+		t.Errorf("dynamic edges = %v, want [[1 2 3]]", dyn)
 	}
 }
 

@@ -20,8 +20,9 @@ import (
 // edge carries a reason string and every node may carry a label. The
 // verdict path of the µspec evaluator does not use Graph at all — it runs
 // on the two-tier Skeleton/Overlay core (see skeleton.go and overlay.go),
-// which stores compact reason codes and never formats a string. Graphs are
-// built only when a human asks for an explanation, a witness, or DOT.
+// which stores compact reason codes and never formats a string. A Graph is
+// copied from a skeleton and one execution's overlay only when a human
+// asks for an explanation, a witness, or DOT.
 type Graph struct {
 	n      int
 	adj    [][]int32
@@ -189,31 +190,6 @@ func (g *Graph) IsIsolated(node int) bool {
 		}
 	}
 	return true
-}
-
-// Reachable reports whether to is reachable from from by one or more edges.
-func (g *Graph) Reachable(from, to int) bool {
-	seen := make([]bool, g.n)
-	stack := []int32{int32(from)}
-	first := true
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if int(v) == to && !first {
-			return true
-		}
-		first = false
-		for _, w := range g.adj[v] {
-			if int(w) == to {
-				return true
-			}
-			if !seen[w] {
-				seen[w] = true
-				stack = append(stack, w)
-			}
-		}
-	}
-	return false
 }
 
 // TopoOrder returns a topological order of the nodes, or nil if cyclic.

@@ -62,26 +62,6 @@ func TestDuplicateEdgesKeepFirstReason(t *testing.T) {
 	}
 }
 
-func TestReachable(t *testing.T) {
-	g := NewGraph(5)
-	g.AddEdge(0, 1, "")
-	g.AddEdge(1, 2, "")
-	g.AddEdge(3, 4, "")
-	if !g.Reachable(0, 2) {
-		t.Error("0 should reach 2")
-	}
-	if g.Reachable(0, 3) {
-		t.Error("0 should not reach 3")
-	}
-	if g.Reachable(0, 0) {
-		t.Error("0 should not reach itself without a cycle")
-	}
-	g.AddEdge(2, 0, "")
-	if !g.Reachable(0, 0) {
-		t.Error("0 should reach itself through the cycle")
-	}
-}
-
 func TestTopoOrder(t *testing.T) {
 	g := NewGraph(4)
 	g.AddEdge(2, 0, "")

@@ -19,38 +19,24 @@ const (
 	slotVis0    // first visibility slot; nMCA uses one per core
 )
 
-// tier selects which half of the two-tier µhb graph a builder run emits.
+// builder constructs one tier of the µhb graph of an execution candidate.
 //
-// The axiom passes below are written once and shared by all three tiers:
-// every edge-producing statement is annotated static (addS) or dynamic
-// (addD) according to whether it consults the execution candidate
-// (rf/mo/resolved locations) or only the compiled program and model
-// configuration. A tierStatic run emits the static edges into a
-// uhb.Skeleton (built once per program × model), a tierDynamic run emits
-// the dynamic edges into a pooled uhb.Overlay (once per execution), and a
-// tierBoth run emits everything, in the original single-graph order, into
-// a fully materialized uhb.Graph for diagnostics (Explain, witnesses,
-// DOT). tierBoth is the zero value so ad-hoc builders behave like the
-// historical single-tier one.
-type tier uint8
-
-const (
-	tierBoth    tier = iota // materialize: every edge into a diagnostics Graph
-	tierStatic              // execution-independent edges into a Skeleton
-	tierDynamic             // execution-dependent edges into an Overlay
-)
-
-// builder constructs (one tier of) the µhb graph of an execution candidate.
+// The axiom passes below are written once and shared by both tiers: every
+// edge-producing statement is annotated static (addS) or dynamic (addD)
+// according to whether it consults the execution candidate (rf/mo/resolved
+// locations) or only the compiled program and model configuration. A run
+// with x == nil emits the static edges into a uhb.Skeleton (built once per
+// program × model); a run with an execution emits its dynamic edges into a
+// pooled uhb.Overlay (once per execution). Diagnostics graphs are copied
+// from the two (see Prepared.Graph).
 type builder struct {
 	m *Model
 	p *isa.Program
-	x *mem.Execution // nil for tierStatic runs
-	g *uhb.Graph     // tierBoth sink
+	x *mem.Execution // nil for the static run
 
-	skel *uhb.Skeleton // tierStatic sink
-	ov   *uhb.Overlay  // tierDynamic sink
-	mode tier
-	cov  *Coverage // optional axiom attribution (two-tier runs only)
+	skel *uhb.Skeleton // static sink
+	ov   *uhb.Overlay  // dynamic sink
+	cov  *Coverage     // optional axiom attribution
 
 	ev []*mem.Event
 	C  int // cores (threads)
@@ -65,7 +51,7 @@ type builder struct {
 	frBuf                      []int
 }
 
-// layout computes the node layout shared by all tiers of a (model,
+// layout computes the node layout shared by both tiers of a (model,
 // program) pair.
 func (m *Model) layout(p *isa.Program) (C, K int) {
 	C = p.NumThreads()
@@ -80,21 +66,9 @@ func (m *Model) layout(p *isa.Program) (C, K int) {
 	return C, K
 }
 
-// BuildGraph constructs the fully materialized µhb graph of execution x of
-// program p under the model's axioms — the diagnostics path, with string
-// reasons and node labels. The graph is acyclic iff the execution is
-// observable. The verdict path does not use it; see Model.Prepare.
-func (m *Model) BuildGraph(p *isa.Program, x *mem.Execution) *uhb.Graph {
-	C, K := m.layout(p)
-	b := &builder{m: m, p: p, x: x, ev: p.Mem().Events(), C: C, K: K, mode: tierBoth}
-	b.g = uhb.NewGraph(len(b.ev) * K)
-	b.label()
-	b.run()
-	return b.g
-}
-
 // run executes the axiom passes in the historical single-graph order; each
-// pass emits only the edges belonging to the builder's tier.
+// pass emits only the edges belonging to the builder's tier. Reason base
+// codes follow this pass order (see Reason.passRank).
 func (b *builder) run() {
 	b.pipeline()
 	b.ppo()
@@ -105,8 +79,9 @@ func (b *builder) run() {
 	b.amoBits()
 }
 
-// dyn reports whether this run may consult the execution candidate.
-func (b *builder) dyn() bool { return b.mode != tierStatic }
+// dyn reports whether this is the dynamic run, which may consult the
+// execution candidate.
+func (b *builder) dyn() bool { return b.x != nil }
 
 // addS emits an execution-independent edge. Coverage attribution happens
 // here, at emission — before Skeleton dedup — so every contributing
@@ -114,31 +89,27 @@ func (b *builder) dyn() bool { return b.mode != tierStatic }
 // earlier axiom's (first-reason-wins keeps only one stored reason; the
 // Edges bits are recomputed from the frozen CSR in Prepare).
 func (b *builder) addS(from, to int, r Reason) {
-	switch b.mode {
-	case tierBoth:
-		b.g.AddEdge(from, to, r.String())
-	case tierStatic:
-		if b.cov != nil {
-			b.cov.Fired |= axiomBit(r)
-		}
-		b.skel.AddEdge(from, to, uint32(r))
+	if b.dyn() {
+		return
 	}
+	if b.cov != nil {
+		b.cov.Fired |= axiomBit(r)
+	}
+	b.skel.AddEdge(from, to, uint32(r))
 }
 
 // addD emits an execution-dependent edge. The overlay never dedups, so a
 // fired dynamic axiom always owns a stored edge record too.
 func (b *builder) addD(from, to int, r Reason) {
-	switch b.mode {
-	case tierBoth:
-		b.g.AddEdge(from, to, r.String())
-	case tierDynamic:
-		if b.cov != nil {
-			bit := axiomBit(r)
-			b.cov.Fired |= bit
-			b.cov.Edges |= bit
-		}
-		b.ov.AddEdge(from, to, uint32(r))
+	if !b.dyn() {
+		return
 	}
+	if b.cov != nil {
+		bit := axiomBit(r)
+		b.cov.Fired |= bit
+		b.cov.Edges |= bit
+	}
+	b.ov.AddEdge(from, to, uint32(r))
 }
 
 // add dispatches on the static flag — for shared loops whose elements mix
@@ -226,27 +197,27 @@ func (b *builder) scAMO(ins *isa.Instr) bool {
 	return ins.SCBit
 }
 
-// label names every node for diagnostics (tierBoth only; the skeleton and
-// overlay never carry labels).
-func (b *builder) label() {
+// label names every node of a diagnostics graph (the skeleton and overlay
+// never carry labels).
+func (b *builder) label(g *uhb.Graph) {
 	for _, e := range b.ev {
 		diagFormats.Add(1)
 		base := fmt.Sprintf("T%d.i%d", e.Thread, e.Index)
-		b.g.SetLabel(b.fetch(e.GID), base+".Fetch")
-		b.g.SetLabel(b.exec(e.GID), base+".Execute")
-		b.g.SetLabel(b.perform(e.GID), base+".Perform")
-		b.g.SetLabel(b.sbEnter(e.GID), base+".SBEnter")
-		b.g.SetLabel(b.getM(e.GID), base+".GetM")
-		b.g.SetLabel(b.complete(e.GID), base+".Complete")
+		g.SetLabel(b.fetch(e.GID), base+".Fetch")
+		g.SetLabel(b.exec(e.GID), base+".Execute")
+		g.SetLabel(b.perform(e.GID), base+".Perform")
+		g.SetLabel(b.sbEnter(e.GID), base+".SBEnter")
+		g.SetLabel(b.getM(e.GID), base+".GetM")
+		g.SetLabel(b.complete(e.GID), base+".Complete")
 		if e.IsWrite() {
 			for i, v := range b.visAll(e.GID) {
 				if b.atomicWrite(e.GID) {
-					b.g.SetLabel(v, base+".VisibleAll")
+					g.SetLabel(v, base+".VisibleAll")
 				} else if b.m.NMCA {
 					diagFormats.Add(1)
-					b.g.SetLabel(v, fmt.Sprintf("%s.Visible@C%d", base, i))
+					g.SetLabel(v, fmt.Sprintf("%s.Visible@C%d", base, i))
 				} else {
-					b.g.SetLabel(v, base+".Visible")
+					g.SetLabel(v, base+".Visible")
 				}
 			}
 		}
@@ -256,7 +227,7 @@ func (b *builder) label() {
 // pipeline adds the in-order front-end chains and per-instruction paths.
 // Entirely static: it consults only the program and model configuration.
 func (b *builder) pipeline() {
-	if b.mode == tierDynamic {
+	if b.dyn() {
 		return
 	}
 	for _, th := range b.p.Mem().Threads {
@@ -392,7 +363,7 @@ func (b *builder) pointwiseVis(ag, cg int, r Reason, static bool) {
 // cannot begin executing until the source load has performed. Static: the
 // dependency structure is syntactic, not value-dependent.
 func (b *builder) deps() {
-	if !b.m.RespectDeps || b.mode == tierDynamic {
+	if !b.m.RespectDeps || b.dyn() {
 		return
 	}
 	for _, th := range b.p.Mem().Threads {
@@ -504,7 +475,7 @@ func (b *builder) fences() {
 }
 
 func (b *builder) fenceEdges(th []*mem.Event, f *mem.Event, ins *isa.Instr) {
-	if b.mode == tierDynamic && ins.Cum == isa.CumNone {
+	if b.dyn() && ins.Cum == isa.CumNone {
 		return // a non-cumulative fence contributes no dynamic edges
 	}
 	// Same-thread predecessor/successor event GIDs by access part (static).
@@ -672,19 +643,19 @@ func (b *builder) amoBits() {
 			if !ins.Op.IsAMO() {
 				continue
 			}
-			if ins.Aq && b.mode != tierDynamic {
+			if ins.Aq && !b.dyn() {
 				b.acquireEdges(th, e)
 			}
 			if ins.Rl {
 				if b.m.Variant == Curr {
-					if b.mode != tierDynamic {
+					if !b.dyn() {
 						b.eagerReleaseEdges(th, e)
 					}
 				} else if b.dyn() {
 					b.lazyReleaseEdges(th, e)
 				}
 			}
-			if b.scAMO(ins) && b.mode != tierDynamic {
+			if b.scAMO(ins) && !b.dyn() {
 				b.scPairEdges(th, e)
 			}
 		}

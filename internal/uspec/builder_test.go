@@ -12,6 +12,7 @@ import (
 	"tricheck/internal/isa/riscv"
 	"tricheck/internal/litmus"
 	"tricheck/internal/mem"
+	"tricheck/internal/uhb"
 )
 
 // firstExecution returns the first candidate execution of a program.
@@ -29,6 +30,13 @@ func firstExecution(t *testing.T, p *isa.Program) *mem.Execution {
 		t.Fatal("no executions")
 	}
 	return out
+}
+
+// graphOf materializes the µhb graph of execution x of p on model m.
+func graphOf(m *Model, p *isa.Program, x *mem.Execution) *uhb.Graph {
+	pr := m.Prepare(p)
+	defer pr.Close()
+	return pr.Graph(x)
 }
 
 // executionWhere returns the first execution satisfying pred.
@@ -58,7 +66,7 @@ func TestGraphPipelineEdges(t *testing.T) {
 	p.Add(0, riscv.SW(mem.Const(1), mem.Const(0)))
 	x := firstExecution(t, p)
 	m := NMM(Curr)
-	g := m.BuildGraph(p, x)
+	g := graphOf(m, p, x)
 	if !g.Acyclic() {
 		t.Fatal("trivial program must be acyclic")
 	}
@@ -84,7 +92,7 @@ func TestSameAddrWWPointwiseEdges(t *testing.T) {
 	p.Add(1, riscv.LW(0, mem.Const(0)))
 	x := firstExecution(t, p)
 	m := NMM(Curr) // RelaxWW
-	g := m.BuildGraph(p, x)
+	g := graphOf(m, p, x)
 	b := &builder{m: m, p: p, x: x, ev: p.Mem().Events(), C: 2, K: g.NumNodes() / len(p.Mem().Events())}
 	for c := 0; c < 2; c++ {
 		if !g.HasEdge(b.visTo(0, c), b.visTo(1, c)) {
@@ -101,7 +109,7 @@ func TestDifferentAddrWWRelaxed(t *testing.T) {
 		p.Add(0, riscv.SW(mem.Const(1), mem.Const(0)))
 		p.Add(0, riscv.SW(mem.Const(1), mem.Const(1)))
 		x := firstExecution(t, p)
-		g := m.BuildGraph(p, x)
+		g := graphOf(m, p, x)
 		b := &builder{m: m, p: p, x: x, ev: p.Mem().Events(), C: 1, K: g.NumNodes() / len(p.Mem().Events())}
 		return g.HasEdge(b.visTo(0, 0), b.visTo(1, 0))
 	}
@@ -126,7 +134,7 @@ func TestDependencyEdges(t *testing.T) {
 		return x.LocOf[1] != mem.LocNone // dependent load resolved
 	})
 	m := NMM(Curr)
-	g := m.BuildGraph(p, x)
+	g := graphOf(m, p, x)
 	K := g.NumNodes() / len(p.Mem().Events())
 	b := &builder{m: m, p: p, x: x, ev: p.Mem().Events(), C: 1, K: K}
 	if !g.HasEdge(b.perform(0), b.exec(1)) {
@@ -139,7 +147,7 @@ func TestDependencyEdges(t *testing.T) {
 		t.Error("missing control-dependency edge")
 	}
 	alpha := AlphaLike()
-	g2 := alpha.BuildGraph(p, x)
+	g2 := graphOf(alpha, p, x)
 	if g2.HasEdge(b.perform(0), b.exec(1)) {
 		t.Error("AlphaLike must not add dependency edges")
 	}
@@ -153,14 +161,14 @@ func TestForwardingEdge(t *testing.T) {
 	p.Add(0, riscv.LW(0, mem.Const(0)))
 	x := firstExecution(t, p) // CoWR forces rf from the store
 	fwd := RWR(Curr)
-	g := fwd.BuildGraph(p, x)
+	g := graphOf(fwd, p, x)
 	K := g.NumNodes() / len(p.Mem().Events())
 	b := &builder{m: fwd, p: p, x: x, ev: p.Mem().Events(), C: 1, K: K}
 	if !g.HasEdge(b.sbEnter(0), b.perform(1)) {
 		t.Error("rWR: missing rf-forward edge")
 	}
 	nofwd := WR(Curr)
-	g2 := nofwd.BuildGraph(p, x)
+	g2 := graphOf(nofwd, p, x)
 	b2 := &builder{m: nofwd, p: p, x: x, ev: p.Mem().Events(), C: 1, K: K}
 	if g2.HasEdge(b2.sbEnter(0), b2.perform(1)) {
 		t.Error("WR: must not forward from the store buffer")
@@ -186,9 +194,9 @@ func TestAcumWritesComputation(t *testing.T) {
 		return x.RF[1] == 0 && x.RF[3] == 2
 	})
 	m := NMM(Ours)
-	g := m.BuildGraph(p, x)
+	g := graphOf(m, p, x)
 	K := g.NumNodes() / len(p.Mem().Events())
-	b := &builder{m: m, p: p, x: x, ev: p.Mem().Events(), C: 3, K: K, g: g}
+	b := &builder{m: m, p: p, x: x, ev: p.Mem().Events(), C: 3, K: K}
 	acum := map[int]bool{}
 	for _, w := range b.acumAppend(p.Mem().Threads[2], 1, nil) {
 		acum[w] = true
@@ -213,9 +221,9 @@ func TestReleaseChainWalk(t *testing.T) {
 	// gid 1 swaps, reading gid 0's write.
 	x := executionWhere(t, p, func(x *mem.Execution) bool { return x.RF[1] == 0 })
 	m := NMM(Ours)
-	g := m.BuildGraph(p, x)
+	g := graphOf(m, p, x)
 	K := g.NumNodes() / len(p.Mem().Events())
-	b := &builder{m: m, p: p, x: x, ev: p.Mem().Events(), C: 2, K: K, g: g}
+	b := &builder{m: m, p: p, x: x, ev: p.Mem().Events(), C: 2, K: K}
 	chain := b.releaseChain(1)
 	if len(chain) != 2 || chain[0] != 1 || chain[1] != 0 {
 		t.Errorf("release chain = %v, want [1 0]", chain)
@@ -230,7 +238,7 @@ func TestA9likeCacheNodes(t *testing.T) {
 	p.Add(1, riscv.LW(0, mem.Const(0)))
 	x := firstExecution(t, p)
 	m := A9like(Curr)
-	g := m.BuildGraph(p, x)
+	g := graphOf(m, p, x)
 	K := g.NumNodes() / len(p.Mem().Events())
 	b := &builder{m: m, p: p, x: x, ev: p.Mem().Events(), C: 2, K: K}
 	if !g.HasEdge(b.sbEnter(0), b.getM(0)) {
@@ -240,7 +248,7 @@ func TestA9likeCacheNodes(t *testing.T) {
 		t.Error("A9like: missing GetM→visibility edge")
 	}
 	nmm := NMM(Curr)
-	g2 := nmm.BuildGraph(p, x)
+	g2 := graphOf(nmm, p, x)
 	if g2.HasEdge(b.sbEnter(0), b.getM(0)) {
 		t.Error("nMM must not use cache-protocol nodes")
 	}

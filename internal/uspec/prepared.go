@@ -35,7 +35,8 @@ var (
 // This is the verdict path: no uhb.Graph is materialized, no reason or
 // label string is ever formatted, and steady-state evaluation performs no
 // per-execution graph allocation. Diagnostics (Explain, witness graphs,
-// DOT) still materialize a full Graph via Model.BuildGraph.
+// DOT) copy the skeleton and one execution's overlay into a labelled
+// uhb.Graph on demand; see Graph.
 //
 // A Prepared is NOT safe for concurrent use: the overlay and the dynamic
 // builder's scratch buffers are shared across calls. Each worker of a
@@ -45,7 +46,7 @@ type Prepared struct {
 	p    *isa.Program
 	skel *uhb.Skeleton
 	ov   *uhb.Overlay
-	dyn  builder // tierDynamic template; x/ov bound per execution
+	dyn  builder // dynamic-run template; x/ov bound per execution
 
 	cov    Coverage // axiom attribution, accumulated across the evaluation
 	cycBuf []uint32 // reused cycle-provenance buffer
@@ -60,7 +61,7 @@ func (m *Model) Prepare(p *isa.Program) *Prepared {
 	C, K := m.layout(p)
 	ev := p.Mem().Events()
 	pr := &Prepared{m: m, p: p}
-	sb := builder{m: m, p: p, ev: ev, C: C, K: K, mode: tierStatic, cov: &pr.cov}
+	sb := builder{m: m, p: p, ev: ev, C: C, K: K, cov: &pr.cov}
 	sb.skel = uhb.AcquireSkeleton(len(ev) * K)
 	sb.run()
 	sb.skel.Freeze()
@@ -72,7 +73,7 @@ func (m *Model) Prepare(p *isa.Program) *Prepared {
 	phaseSkeleton.Observe(time.Since(start))
 	pr.skel = sb.skel
 	pr.ov = uhb.AcquireOverlay(sb.skel)
-	pr.dyn = builder{m: m, p: p, ev: ev, C: C, K: K, mode: tierDynamic, cov: &pr.cov}
+	pr.dyn = builder{m: m, p: p, ev: ev, C: C, K: K, cov: &pr.cov}
 	return pr
 }
 
@@ -80,9 +81,6 @@ func (m *Model) Prepare(p *isa.Program) *Prepared {
 // static edges since Prepare, dynamic edges and witnessing cycles across
 // every execution checked through this Prepared.
 func (pr *Prepared) Coverage() Coverage { return pr.cov }
-
-// Skeleton exposes the static tier (frozen; safe to share read-only).
-func (pr *Prepared) Skeleton() *uhb.Skeleton { return pr.skel }
 
 // ExecutionObservable reports whether execution x is observable on the
 // model: whether skeleton + x's overlay is acyclic. The overlay is
@@ -93,12 +91,7 @@ func (pr *Prepared) Skeleton() *uhb.Skeleton { return pr.skel }
 // multiset OR-ed into the coverage Cycle bitset, depends only on the
 // overlay's contents.
 func (pr *Prepared) ExecutionObservable(x *mem.Execution) bool {
-	pr.ov.Reset(pr.skel)
-	b := &pr.dyn
-	b.x = x
-	b.ov = pr.ov
-	b.run()
-	b.x, b.ov = nil, nil
+	pr.overlay(x)
 	if pr.ov.HasCycle() {
 		reasons, _ := pr.ov.HasCycleReasons(pr.cycBuf[:0])
 		for _, r := range reasons {
@@ -108,6 +101,39 @@ func (pr *Prepared) ExecutionObservable(x *mem.Execution) bool {
 		return false
 	}
 	return true
+}
+
+// overlay resets the overlay and fills it with execution x's dynamic
+// edges.
+func (pr *Prepared) overlay(x *mem.Execution) {
+	pr.ov.Reset(pr.skel)
+	b := &pr.dyn
+	b.x, b.ov = x, pr.ov
+	b.run()
+	b.x, b.ov = nil, nil
+}
+
+// Graph materializes the µhb graph of execution x for diagnostics
+// (Explain, witnesses, DOT): the skeleton plus x's overlay, with reason
+// strings and node labels. It is acyclic iff ExecutionObservable(x).
+// Within a tier the first emitted reason of an edge wins; an edge both
+// tiers emit keeps the reason of the earlier builder pass, which is what
+// one pass over all axioms in builder order would have recorded.
+func (pr *Prepared) Graph(x *mem.Execution) *uhb.Graph {
+	pr.overlay(x)
+	g := uhb.NewGraph(pr.skel.NumNodes())
+	pr.dyn.label(g)
+	pr.ov.ForEachDynamicEdge(func(from, to int, reason uint32) {
+		r := Reason(reason)
+		if s, ok := pr.skel.Reason(from, to); ok && Reason(s).passRank() <= r.passRank() {
+			return // the static reason is added below
+		}
+		g.AddEdge(from, to, r.String())
+	})
+	pr.skel.ForEachEdge(func(from, to int, reason uint32) {
+		g.AddEdge(from, to, Reason(reason).String())
+	})
+	return g
 }
 
 // Close returns the pooled overlay and skeleton. The Prepared must not be
@@ -181,22 +207,21 @@ func (pr *Prepared) Evaluate() (*Result, error) {
 	return res, nil
 }
 
-// Observable reports whether a specific outcome is observable, stopping at
-// the first acyclic witness.
-func (pr *Prepared) Observable(want mem.Outcome) (bool, error) {
-	found := false
-	err := mem.Enumerate(pr.p.Mem(), func(x *mem.Execution) bool {
-		if x.OutcomeOf() != want {
+// find is the outcome-selection loop behind Model.Observable, Explain and
+// ObservableGraph: among the candidate executions whose final state is
+// want, it stops at the first observable one and otherwise settles on the
+// last forbidden one. x is a copy of that execution, nil when want is not
+// a candidate final state.
+func (pr *Prepared) find(want mem.Outcome) (x *mem.Execution, observable bool, err error) {
+	err = mem.Enumerate(pr.p.Mem(), func(c *mem.Execution) bool {
+		if c.OutcomeOf() != want {
 			return true
 		}
-		if pr.ExecutionObservable(x) {
-			found = true
-			return false
-		}
-		return true
+		x, observable = c.Clone(), pr.ExecutionObservable(c)
+		return !observable
 	})
-	if err != nil && err != mem.ErrStopped {
-		return false, err
+	if err == mem.ErrStopped {
+		err = nil
 	}
-	return found, nil
+	return x, observable, err
 }

@@ -115,15 +115,26 @@ func fenceReason(ins *isa.Instr) Reason {
 }
 
 // diagFormats counts every diagnostic string rendered (reasons and node
-// labels). The verdict path must never format diagnostics; the regression
-// test in reason_test.go pins that by watching this counter across a full
-// evaluation.
+// labels). The verdict path must never format diagnostics;
+// TestVerdictPathFormatsNoDiagnostics in twotier_test.go pins that by
+// watching this counter across a full evaluation.
 var diagFormats atomic.Uint64
 
 // DiagnosticFormats returns the number of diagnostic strings (edge
 // reasons, node labels) formatted so far, process-wide. Exposed for tests
 // asserting the verdict path performs zero diagnostic formatting.
 func DiagnosticFormats() uint64 { return diagFormats.Load() }
+
+// passRank orders reasons by the builder pass that emits them (see
+// builder.run): the base codes follow pass order, except that the fence
+// pass runs between values (rFr) and amoBits (rAmoAqR).
+func (r Reason) passRank() int {
+	base := int(r & 0xff)
+	if base == int(rFence) {
+		return 2*int(rFr) + 1
+	}
+	return 2 * base
+}
 
 // String renders the reason exactly as the eager builder used to. Only
 // Explain/DOT materialization calls it.

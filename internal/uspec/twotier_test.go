@@ -5,6 +5,8 @@ import (
 
 	"tricheck/internal/c11"
 	"tricheck/internal/compile"
+	"tricheck/internal/isa"
+	"tricheck/internal/isa/riscv"
 	"tricheck/internal/litmus"
 	"tricheck/internal/mem"
 )
@@ -32,10 +34,9 @@ func oracleModels() []*Model {
 
 // TestTwoTierMatchesMaterializedGraph is the skeleton/overlay equivalence
 // property: for every candidate execution of a sampled paper-suite slice,
-// on every model, the two-tier verdict (static skeleton + pooled dynamic
-// overlay) must equal the single-graph oracle — the fully materialized
-// uhb.Graph built by the historical one-pass path, whose edge set is the
-// union of both tiers by construction.
+// on every model, the two-tier verdict (the overlay's carried-order
+// HasCycle) must equal a plain DFS over the materialized graph of the
+// same execution (Prepared.Graph(x).Acyclic).
 func TestTwoTierMatchesMaterializedGraph(t *testing.T) {
 	if testing.Short() {
 		t.Skip("exhaustive execution sweep is not short")
@@ -54,7 +55,7 @@ func TestTwoTierMatchesMaterializedGraph(t *testing.T) {
 				err := mem.Enumerate(prog.Mem(), func(x *mem.Execution) bool {
 					execs++
 					fast := pr.ExecutionObservable(x)
-					slow := m.BuildGraph(prog, x).Acyclic()
+					slow := pr.Graph(x).Acyclic()
 					if fast != slow {
 						t.Errorf("%s on %s+%s, execution %s: two-tier=%v oracle=%v",
 							tst.Name, mp.Name, m.FullName(), x, fast, slow)
@@ -74,41 +75,29 @@ func TestTwoTierMatchesMaterializedGraph(t *testing.T) {
 	}
 }
 
-// TestTwoTierEdgeUnionMatchesGraph checks the stronger structural
-// property on a dependency-carrying test under cumulative-fence
-// semantics: the skeleton's edges plus an execution's overlay edges are
-// exactly the materialized graph's edges, and reason codes resolve to the
-// graph's reason strings.
-func TestTwoTierEdgeUnionMatchesGraph(t *testing.T) {
-	tst := litmus.MPAddrDep.Instantiate([]c11.Order{c11.Rel, c11.Rel, c11.Rlx, c11.Acq})
-	prog, err := compile.Compile(compile.RISCVAtomicsRefined, tst.Prog)
+// TestPreparedGraphCrossTierReasons checks how Prepared.Graph merges the
+// tiers. Its edges are exactly the skeleton's plus the overlay's, and an
+// edge both tiers emit keeps the reason of the earlier builder pass. Two
+// such collisions are pinned, each against a static reason that a
+// static-first merge would wrongly keep: a same-address W→W pair also
+// ordered by fence rw,w (ppo runs before fences), and an rf edge also
+// covered by sc-order (values runs before amoBits).
+func TestPreparedGraphCrossTierReasons(t *testing.T) {
+	mpTest := litmus.MPAddrDep.Instantiate([]c11.Order{c11.Rel, c11.Rel, c11.Rlx, c11.Acq})
+	mpProg, err := compile.Compile(compile.RISCVAtomicsRefined, mpTest.Prog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, m := range []*Model{NMM(Ours), A9like(Curr), WR(Curr)} {
-		pr := m.Prepare(prog)
+		pr := m.Prepare(mpProg)
 		checked := 0
-		err := mem.Enumerate(prog.Mem(), func(x *mem.Execution) bool {
+		err := mem.Enumerate(mpProg.Mem(), func(x *mem.Execution) bool {
 			checked++
-			_ = pr.ExecutionObservable(x) // leaves the overlay populated for x
-			g := m.BuildGraph(prog, x)
+			g := pr.Graph(x) // leaves the overlay populated for x
 			type edge struct{ from, to int }
-			union := map[edge]string{}
-			pr.Skeleton().ForEachEdge(func(from, to int, reason uint32) {
-				if _, dup := union[edge{from, to}]; !dup {
-					union[edge{from, to}] = Reason(reason).String()
-				}
-			})
-			dynEdges := 0
-			pr.ov.ForEachDynamicEdge(func(from, to int, reason uint32) {
-				dynEdges++
-				if _, dup := union[edge{from, to}]; !dup {
-					union[edge{from, to}] = Reason(reason).String()
-				}
-			})
-			if dynEdges == 0 {
-				t.Errorf("%s: execution produced no dynamic edges", m.FullName())
-			}
+			union := map[edge]bool{}
+			pr.skel.ForEachEdge(func(from, to int, _ uint32) { union[edge{from, to}] = true })
+			pr.ov.ForEachDynamicEdge(func(from, to int, _ uint32) { union[edge{from, to}] = true })
 			if len(union) != g.NumEdges() {
 				t.Errorf("%s: union has %d distinct edges, graph %d", m.FullName(), len(union), g.NumEdges())
 				return false
@@ -125,9 +114,50 @@ func TestTwoTierEdgeUnionMatchesGraph(t *testing.T) {
 		if err != nil && err != mem.ErrStopped {
 			t.Fatal(err)
 		}
-		if checked == 0 {
-			t.Fatalf("%s: no executions", m.FullName())
+	}
+
+	// T0: sw x; fence rw,w; sw x — nMM relaxes W→W, so ppo orders the
+	// same-address pair dynamically while the fence orders it statically.
+	wwProg := isa.NewProgram(isa.RISCV, 1, "x")
+	wwProg.Add(0, riscv.SW(mem.Const(1), mem.Const(0)))
+	wwProg.Add(0, riscv.Fence(isa.ClassRW, isa.ClassW))
+	wwProg.Add(0, riscv.SW(mem.Const(2), mem.Const(0)))
+	// T0: amoswap.aq.rl x; amoswap.aq.rl x — the second reads the first:
+	// rf is dynamic, the SC-AMO pair order is static.
+	scProg := isa.NewProgram(isa.RISCV, 1, "x")
+	scProg.Add(0, riscv.AMOSwap(0, mem.Const(1), mem.Const(0), true, true, false))
+	scProg.Add(0, riscv.AMOSwap(1, mem.Const(2), mem.Const(0), true, true, false))
+	for _, c := range []struct {
+		name         string
+		p            *isa.Program
+		x            func(*mem.Execution) bool
+		edge         func(b *builder) (from, to int)
+		static, want string
+	}{
+		{"ww-fence", wwProg, func(*mem.Execution) bool { return true },
+			func(b *builder) (int, int) { return b.visTo(0, 0), b.visTo(2, 0) },
+			"fence[rw,w;plain]-WW", "ppo-WW"},
+		{"rf-sc-order", scProg, func(x *mem.Execution) bool { return x.RF[1] == 0 },
+			func(b *builder) (int, int) { return b.visTo(0, 0), b.perform(1) },
+			"sc-order", "rf"},
+	} {
+		m := NMM(Curr)
+		x := executionWhere(t, c.p, c.x)
+		pr := m.Prepare(c.p)
+		from, to := c.edge(&pr.dyn)
+		g := pr.Graph(x)
+		if r, ok := pr.skel.Reason(from, to); !ok || Reason(r).String() != c.static {
+			t.Errorf("%s: static reason = %v,%v, want %q", c.name, Reason(r), ok, c.static)
 		}
+		dynamic := false
+		pr.ov.ForEachDynamicEdge(func(f, t int, _ uint32) { dynamic = dynamic || f == from && t == to })
+		if !dynamic {
+			t.Errorf("%s: edge (%d,%d) is not in the overlay", c.name, from, to)
+		}
+		if got := g.Reason(from, to); got != c.want {
+			t.Errorf("%s: %s --> %s rendered %q, want %q", c.name, g.Label(from), g.Label(to), got, c.want)
+		}
+		pr.Close()
 	}
 }
 

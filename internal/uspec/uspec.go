@@ -32,8 +32,9 @@
 // each candidate execution only layers its dynamic edges (coherence,
 // reads-from/from-reads, same-address refinements, cumulative closures)
 // onto it through a pooled uhb.Overlay — see Prepared. Diagnostics
-// (Explain, witness graphs, DOT) materialize a full uhb.Graph with string
-// reasons and labels via BuildGraph; the verdict path never formats any.
+// (Explain, witness graphs, DOT) copy the skeleton and one execution's
+// overlay into a uhb.Graph with string reasons and labels (Prepared.Graph);
+// the verdict path never formats any.
 package uspec
 
 import (
@@ -239,46 +240,37 @@ func (m *Model) Evaluate(p *isa.Program) (*Result, error) {
 func (m *Model) Observable(p *isa.Program, want mem.Outcome) (bool, error) {
 	pr := m.Prepare(p)
 	defer pr.Close()
-	return pr.Observable(want)
+	_, observable, err := pr.find(want)
+	return observable, err
 }
 
 // Explain returns a human-readable verdict for an outcome: either an
 // acyclic witness summary or the µhb cycle forbidding the last candidate.
 func (m *Model) Explain(p *isa.Program, want mem.Outcome) (observable bool, explanation string, err error) {
-	explanation = "outcome is not a candidate final state"
-	e := mem.Enumerate(p.Mem(), func(x *mem.Execution) bool {
-		if x.OutcomeOf() != want {
-			return true
-		}
-		g := m.BuildGraph(p, x)
-		if cycle := g.FindCycle(); cycle != nil {
-			explanation = fmt.Sprintf("forbidden on %s: cycle %s", m.FullName(), g.ExplainCycle(cycle))
-			return true
-		}
-		observable = true
-		explanation = fmt.Sprintf("observable on %s via execution %s", m.FullName(), x)
-		return false
-	})
-	if e != nil && e != mem.ErrStopped {
-		return false, "", e
+	pr := m.Prepare(p)
+	defer pr.Close()
+	x, observable, err := pr.find(want)
+	switch {
+	case err != nil:
+		return false, "", err
+	case x == nil:
+		return false, "outcome is not a candidate final state", nil
+	case observable:
+		return true, fmt.Sprintf("observable on %s via execution %s", m.FullName(), x), nil
 	}
-	return observable, explanation, nil
+	g := pr.Graph(x)
+	return false, fmt.Sprintf("forbidden on %s: cycle %s", m.FullName(), g.ExplainCycle(g.FindCycle())), nil
 }
 
 // ObservableGraph returns a µhb graph (preferring an acyclic witness) for
 // the outcome, for DOT export and debugging; found is false if the outcome
 // is not a candidate.
 func (m *Model) ObservableGraph(p *isa.Program, want mem.Outcome) (g *uhb.Graph, found bool, err error) {
-	e := mem.Enumerate(p.Mem(), func(x *mem.Execution) bool {
-		if x.OutcomeOf() != want {
-			return true
-		}
-		cand := m.BuildGraph(p, x)
-		g, found = cand, true
-		return !cand.Acyclic() // stop at the first acyclic witness
-	})
-	if e != nil && e != mem.ErrStopped {
-		return nil, false, e
+	pr := m.Prepare(p)
+	defer pr.Close()
+	x, _, err := pr.find(want)
+	if err != nil || x == nil {
+		return nil, false, err
 	}
-	return g, found, nil
+	return pr.Graph(x), true, nil
 }

@@ -410,9 +410,9 @@ type (
 	Variant = uspec.Variant
 	// PreparedModel is a (model, compiled program) pair with its static
 	// µhb skeleton prebuilt — the two-tier evaluation core's verdict-path
-	// handle. Evaluate/Observable stream every execution candidate
-	// through a pooled overlay without materializing a graph or
-	// formatting a single diagnostic; call Close when done.
+	// handle. Evaluate streams every execution candidate through a
+	// pooled overlay without materializing a graph or formatting a
+	// single diagnostic; call Close when done.
 	PreparedModel = uspec.Prepared
 )
 
