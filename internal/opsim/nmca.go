@@ -1,9 +1,6 @@
 package opsim
 
 import (
-	"fmt"
-	"strings"
-
 	"tricheck/internal/isa"
 	"tricheck/internal/mem"
 )
@@ -40,142 +37,152 @@ import (
 // A W→R fence (or an rl-annotated AMO load) additionally waits until the
 // thread's own drained writes have been applied by every core — the
 // operational reading of the axiomatic "flush" edges.
+//
+// The flat state (see frame) appends, per location, the coherence order
+// (a length word, then write ids); applied[c][loc], the prefix of
+// order[loc] core c has applied; the drained writes as (loc, val, src,
+// atomic) records under a length word; and per thread the pending SC-AMO
+// write as (kind, loc, data). A write's id is its position in the write
+// list, which each source thread appends to in its drain order, so ids
+// order any one thread's writes the way a per-thread drain sequence
+// number would.
 type NMCASimulator struct {
-	p       *isa.Program
-	maxRegs []int
-	seen    map[string]bool
+	frame
+	nlocs   int
+	maxW    int // writes the program can drain: stores and writing AMOs
+	order   int // offset of order[0]'s length word; order[l] spans 1+maxW words
+	applied int // offset of applied[0][0]; applied[c][l] is at applied+c*nlocs+l
+	writes  int // offset of the write count; the records follow (see write)
+	pending int // offset of thread 0's pending slot; 3 words per thread
 	out     map[mem.Outcome]bool
 	// States counts distinct explored configurations.
 	States int
 }
 
+// A write record's fields, as offsets into its writeWords words.
+const (
+	wLoc = iota
+	wVal
+	wSrc
+	wAtomic
+	writeWords
+)
+
+// A pending slot's kind word: the slot is empty, holds a plain SC write,
+// or holds a fetch-add whose write value reads memory at the commit
+// itself so the read-modify-write stays indivisible.
+const (
+	pendingNone = iota
+	pendingWrite
+	pendingAdd
+)
+
 // NewNMCA returns an operational nWR simulator.
 func NewNMCA(p *isa.Program) *NMCASimulator {
-	base := New(p)
-	return &NMCASimulator{p: p, maxRegs: base.maxRegs, seen: map[string]bool{}, out: map[mem.Outcome]bool{}}
-}
-
-// drained is one coherence-ordered write.
-type drained struct {
-	loc    mem.Loc
-	val    int64
-	src    int // source thread
-	srcSeq int // position in the source's drain order
-	atomic bool
-}
-
-// pendingAtomic is an executed-but-uncommitted SC-AMO write: it sits
-// outside the coherence order until its commit instant. add marks a
-// fetch-add, whose write value reads memory at the commit itself so the
-// read-modify-write stays indivisible.
-type pendingAtomic struct {
-	loc  mem.Loc
-	data int64
-	add  bool
-}
-
-// nstate is a full nMCA machine configuration.
-type nstate struct {
-	pc       []int
-	regs     [][]int64
-	sb       [][]sbEntry
-	order    [][]int // per location: indices into writes, coherence order
-	writes   []drained
-	applied  [][]int // applied[c][loc]: prefix of order[loc] applied at c
-	drainSeq []int   // per thread: number of writes drained so far
-	pending  []*pendingAtomic
-}
-
-func (s *nstate) clone() *nstate {
-	c := &nstate{
-		pc:       append([]int(nil), s.pc...),
-		writes:   append([]drained(nil), s.writes...),
-		drainSeq: append([]int(nil), s.drainSeq...),
-		pending:  append([]*pendingAtomic(nil), s.pending...),
-	}
-	c.regs = make([][]int64, len(s.regs))
-	for i := range s.regs {
-		c.regs[i] = append([]int64(nil), s.regs[i]...)
-	}
-	c.sb = make([][]sbEntry, len(s.sb))
-	for i := range s.sb {
-		c.sb[i] = append([]sbEntry(nil), s.sb[i]...)
-	}
-	c.order = make([][]int, len(s.order))
-	for i := range s.order {
-		c.order[i] = append([]int(nil), s.order[i]...)
-	}
-	c.applied = make([][]int, len(s.applied))
-	for i := range s.applied {
-		c.applied[i] = append([]int(nil), s.applied[i]...)
-	}
-	return c
-}
-
-func (s *nstate) key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%v|%v|%v|%v|%v|%v|", s.pc, s.regs, s.order, s.applied, s.drainSeq, s.writes)
-	for _, q := range s.sb {
-		fmt.Fprintf(&b, "%v;", q)
-	}
-	for _, p := range s.pending {
-		if p == nil {
-			b.WriteString("-;")
-		} else {
-			fmt.Fprintf(&b, "%v;", *p)
+	s := &NMCASimulator{frame: newFrame(p), nlocs: p.Mem().NumLocs}
+	for _, th := range p.Instrs {
+		for i := range th {
+			if th[i].HasWritePart() {
+				s.maxW++
+			}
 		}
 	}
-	return b.String()
+	s.order = s.alloc(s.nlocs * (1 + s.maxW))
+	s.applied = s.alloc(s.n * s.nlocs)
+	s.writes = s.alloc(1 + writeWords*s.maxW)
+	s.pending = s.alloc(3 * s.n)
+	return s
 }
+
+func (s *NMCASimulator) orderLen(st []int64, l mem.Loc) int {
+	return int(st[s.order+int(l)*(1+s.maxW)])
+}
+
+// orderAt returns the id of the i-th write in l's coherence order.
+func (s *NMCASimulator) orderAt(st []int64, l mem.Loc, i int) int {
+	return int(st[s.order+int(l)*(1+s.maxW)+1+i])
+}
+
+// appliedAt is the offset of applied[c][l].
+func (s *NMCASimulator) appliedAt(c int, l mem.Loc) int { return s.applied + c*s.nlocs + int(l) }
+
+// write returns the offset of write id's record.
+func (s *NMCASimulator) write(id int) int { return s.writes + 1 + writeWords*id }
 
 // view returns the value of loc as core c currently sees it (latest
 // applied write, or the initial 0).
-func (s *nstate) view(c int, loc mem.Loc) int64 {
-	n := s.applied[c][loc]
+func (s *NMCASimulator) view(st []int64, c int, loc mem.Loc) int64 {
+	n := int(st[s.appliedAt(c, loc)])
 	if n == 0 {
 		return 0
 	}
-	return s.writes[s.order[loc][n-1]].val
+	return st[s.write(s.orderAt(st, loc, n-1))+wVal]
 }
 
 // caughtUp reports whether core c has applied every drained write to loc.
-func (s *nstate) caughtUp(c int, loc mem.Loc) bool {
-	return s.applied[c][loc] == len(s.order[loc])
+func (s *NMCASimulator) caughtUp(st []int64, c int, loc mem.Loc) bool {
+	return int(st[s.appliedAt(c, loc)]) == s.orderLen(st, loc)
+}
+
+// applyAllAt makes every drained write to loc applied at every core.
+func (s *NMCASimulator) applyAllAt(st []int64, loc mem.Loc) {
+	for c := 0; c < s.n; c++ {
+		st[s.appliedAt(c, loc)] = int64(s.orderLen(st, loc))
+	}
+}
+
+// unappliedFrom reports whether core c has yet to apply a write of
+// thread src whose id is below before.
+func (s *NMCASimulator) unappliedFrom(st []int64, c, src, before int) bool {
+	for l := mem.Loc(0); int(l) < s.nlocs; l++ {
+		for i := int(st[s.appliedAt(c, l)]); i < s.orderLen(st, l); i++ {
+			if id := s.orderAt(st, l, i); id < before && int(st[s.write(id)+wSrc]) == src {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // canApply reports whether core c may apply the next write to loc:
 // coherence gives the candidate; source FIFO requires all earlier-drained
 // writes from the same source applied at c first.
-func (s *nstate) canApply(c int, loc mem.Loc) bool {
-	n := s.applied[c][loc]
-	if n >= len(s.order[loc]) {
+func (s *NMCASimulator) canApply(st []int64, c int, loc mem.Loc) bool {
+	n := int(st[s.appliedAt(c, loc)])
+	if n >= s.orderLen(st, loc) {
 		return false
 	}
-	w := s.writes[s.order[loc][n]]
-	for l := range s.order {
-		for i := s.applied[c][l]; i < len(s.order[l]); i++ {
-			prev := s.writes[s.order[l][i]]
-			if prev.src == w.src && prev.srcSeq < w.srcSeq {
-				return false // an earlier same-source write is still unapplied here
-			}
+	id := s.orderAt(st, loc, n)
+	return !s.unappliedFrom(st, c, int(st[s.write(id)+wSrc]), id)
+}
+
+// ownWritesGloballyApplied reports whether every write thread t has
+// drained so far is applied at every core (the W→R flush condition).
+func (s *NMCASimulator) ownWritesGloballyApplied(st []int64, t int) bool {
+	all := int(st[s.writes])
+	for c := 0; c < s.n; c++ {
+		if s.unappliedFrom(st, c, t, all) {
+			return false
 		}
 	}
 	return true
 }
 
-// ownWritesGloballyApplied reports whether every write thread t has
-// drained so far is applied at every core (the W→R flush condition).
-func (s *nstate) ownWritesGloballyApplied(t int) bool {
-	for c := range s.applied {
-		for l := range s.order {
-			for i := s.applied[c][l]; i < len(s.order[l]); i++ {
-				if s.writes[s.order[l][i]].src == t {
-					return false
-				}
-			}
-		}
-	}
-	return true
+// pendingOf returns thread t's pending SC-AMO write.
+func (s *NMCASimulator) pendingOf(st []int64, t int) (kind int, loc mem.Loc, data int64) {
+	o := s.pending + 3*t
+	return int(st[o]), mem.Loc(st[o+1]), st[o+2]
+}
+
+func (s *NMCASimulator) setPending(st []int64, t, kind int, loc mem.Loc, data int64) {
+	o := s.pending + 3*t
+	st[o], st[o+1], st[o+2] = int64(kind), int64(loc), data
+}
+
+// pendingAt reports whether thread t has a pending SC-AMO write to l.
+func (s *NMCASimulator) pendingAt(st []int64, t int, l mem.Loc) bool {
+	kind, pl, _ := s.pendingOf(st, t)
+	return kind != pendingNone && pl == l
 }
 
 // canCommit reports whether thread t's pending SC-AMO write may take its
@@ -185,86 +192,84 @@ func (s *nstate) ownWritesGloballyApplied(t int) bool {
 // coherence) and the thread's earlier writes applied at every core
 // (pointwise W→W into a simultaneous event). Apply actions are always
 // eventually enabled, so a pending commit can never deadlock.
-func (s *nstate) canCommit(t int) bool {
-	p := s.pending[t]
-	if p == nil {
-		return false
-	}
-	for c := range s.applied {
-		if !s.caughtUp(c, p.loc) {
+func (s *NMCASimulator) canCommit(st []int64, t int) bool {
+	kind, loc, _ := s.pendingOf(st, t)
+	return kind != pendingNone && s.globallyCaughtUp(st, loc) && s.ownWritesGloballyApplied(st, t)
+}
+
+// globallyCaughtUp reports whether every core has applied every drained
+// write to loc.
+func (s *NMCASimulator) globallyCaughtUp(st []int64, loc mem.Loc) bool {
+	for c := 0; c < s.n; c++ {
+		if !s.caughtUp(st, c, loc) {
 			return false
 		}
 	}
-	return s.ownWritesGloballyApplied(t)
+	return true
 }
 
 // commitPending fires thread t's pending SC-AMO write: the value is
 // computed against the now-globally-agreed view (fetch-adds read here,
 // keeping the RMW indivisible), appended to the coherence order, and
-// applied at every core in the same instant.
-func (s *NMCASimulator) commitPending(st *nstate, t int) {
-	p := st.pending[t]
-	st.pending[t] = nil
-	val := p.data
-	if p.add {
-		val = st.view(t, p.loc) + p.data
+// applied at every core in the same instant. It returns the location and
+// the value written.
+func (s *NMCASimulator) commitPending(st []int64, t int) (mem.Loc, int64) {
+	kind, loc, val := s.pendingOf(st, t)
+	s.setPending(st, t, pendingNone, 0, 0)
+	if kind == pendingAdd {
+		val += s.view(st, t, loc)
 	}
-	s.appendWrite(st, t, p.loc, val, true)
-	for c := range st.applied {
-		st.applied[c][p.loc] = len(st.order[p.loc])
-	}
+	s.appendWrite(st, t, loc, val, true)
+	s.applyAllAt(st, loc)
+	return loc, val
 }
 
 // Outcomes exhaustively explores the machine and returns the reachable
 // final states (cores quiesce: buffers empty, every write applied
-// everywhere — eventual visibility).
+// everywhere — eventual visibility). The visited set is dropped on
+// return; later calls return the same set.
 func (s *NMCASimulator) Outcomes() map[mem.Outcome]bool {
-	nlocs := s.p.Mem().NumLocs
-	n := s.p.NumThreads()
-	init := &nstate{
-		pc:       make([]int, n),
-		regs:     make([][]int64, n),
-		sb:       make([][]sbEntry, n),
-		order:    make([][]int, nlocs),
-		applied:  make([][]int, n),
-		drainSeq: make([]int, n),
+	if s.out == nil {
+		s.out, s.States = explore(s, s.size)
 	}
-	init.pending = make([]*pendingAtomic, n)
-	for t := 0; t < n; t++ {
-		init.regs[t] = make([]int64, s.maxRegs[t])
-		init.applied[t] = make([]int, nlocs)
-	}
-	s.explore(init)
 	return s.out
 }
 
-func (s *NMCASimulator) explore(st *nstate) {
-	k := st.key()
-	if s.seen[k] {
-		return
-	}
-	s.seen[k] = true
-	s.States++
-	progress := false
-	n := s.p.NumThreads()
+// Trace searches for an interleaving (execute, drain and per-core apply
+// actions) reaching the target outcome and returns it as human-readable
+// actions, or nil if unreachable. Like Simulator.Trace it uses its own
+// visited set.
+func (s *NMCASimulator) Trace(target mem.Outcome) []string {
+	return trace(s, s.size, s.p.Mem(), target)
+}
+
+// successors generates every core's applies (by core, then location),
+// then per thread a commit, a drain and the execution of the next
+// instruction.
+func (s *NMCASimulator) successors(st, next []int64, emit func(action) bool) bool {
 	// Apply actions: any core advances any location's visibility.
-	for c := 0; c < n; c++ {
-		for l := range st.order {
-			if st.canApply(c, mem.Loc(l)) {
-				progress = true
-				next := st.clone()
-				next.applied[c][l]++
-				s.explore(next)
+	for c := 0; c < s.n; c++ {
+		for l := mem.Loc(0); int(l) < s.nlocs; l++ {
+			if !s.canApply(st, c, l) {
+				continue
+			}
+			copy(next, st)
+			at := s.appliedAt(c, l)
+			w := s.write(s.orderAt(next, l, int(next[at])))
+			next[at]++
+			if emit(action{kind: actApply, thread: c, loc: l, val: next[w+wVal], src: int(next[w+wSrc])}) {
+				return true
 			}
 		}
 	}
-	for t := 0; t < n; t++ {
+	for t := 0; t < s.n; t++ {
 		// Commit: a pending SC-AMO write takes its global instant.
-		if st.canCommit(t) {
-			progress = true
-			next := st.clone()
-			s.commitPending(next, t)
-			s.explore(next)
+		if s.canCommit(st, t) {
+			copy(next, st)
+			l, v := s.commitPending(next, t)
+			if emit(action{kind: actCommit, thread: t, loc: l, val: v}) {
+				return true
+			}
 		}
 		// Drain: move the SB head into the coherence order. The draining
 		// core must be caught up on the location (it acquires the line)
@@ -272,30 +277,32 @@ func (s *NMCASimulator) explore(st *nstate) {
 		// holds drains back: anything buffered behind it is later in
 		// program order, and pointwise W→W says it may not become
 		// visible anywhere before the atomic's instant.
-		if len(st.sb[t]) > 0 && st.pending[t] == nil && st.caughtUp(t, st.sb[t][0].loc) {
-			progress = true
-			next := st.clone()
-			e := next.sb[t][0]
-			next.sb[t] = next.sb[t][1:]
-			s.appendWrite(next, t, e.loc, e.val, false)
-			s.explore(next)
+		if s.sbLen(st, t) > 0 {
+			kind, _, _ := s.pendingOf(st, t)
+			if l, _ := s.sbAt(st, t, 0); kind == pendingNone && s.caughtUp(st, t, l) {
+				copy(next, st)
+				l, v := s.sbPop(next, t)
+				s.appendWrite(next, t, l, v, false)
+				if emit(action{kind: actDrainToOrder, thread: t, loc: l, val: v}) {
+					return true
+				}
+			}
 		}
 		// Execute the next instruction.
-		if st.pc[t] < len(s.p.Instrs[t]) {
-			ins := s.p.Instrs[t][st.pc[t]]
+		if pc := int(st[t]); pc < len(s.p.Instrs[t]) {
+			ins := s.p.Instrs[t][pc]
 			if s.blocked(st, t, ins) {
 				continue
 			}
-			progress = true
-			next := st.clone()
+			copy(next, st)
 			s.execute(next, t, ins)
-			next.pc[t]++
-			s.explore(next)
+			next[t]++
+			if emit(action{kind: actExecute, thread: t, src: pc}) {
+				return true
+			}
 		}
 	}
-	if !progress {
-		s.out[s.finalOutcome(st)] = true
-	}
+	return false
 }
 
 // appendWrite adds a drained/executed write to the coherence order and
@@ -303,63 +310,48 @@ func (s *NMCASimulator) explore(st *nstate) {
 // cores through their own apply actions; SC-AMO commits follow this
 // call with a simultaneous application at every core (the atomic flag
 // records which writes took such an instant).
-func (s *NMCASimulator) appendWrite(st *nstate, t int, loc mem.Loc, val int64, atomic bool) {
-	id := len(st.writes)
-	st.writes = append(st.writes, drained{loc: loc, val: val, src: t, srcSeq: st.drainSeq[t], atomic: atomic})
-	st.drainSeq[t]++
-	st.order[loc] = append(st.order[loc], id)
-	st.applied[t][loc] = len(st.order[loc])
-}
-
-func (s *NMCASimulator) operand(st *nstate, t int, op mem.Operand) int64 {
-	if op.Kind == mem.OpConst {
-		return op.Const
+func (s *NMCASimulator) appendWrite(st []int64, t int, loc mem.Loc, val int64, atomic bool) {
+	id := int(st[s.writes])
+	st[s.writes]++
+	w := s.write(id)
+	st[w+wLoc], st[w+wVal], st[w+wSrc] = int64(loc), val, int64(t)
+	if atomic {
+		st[w+wAtomic] = 1
 	}
-	return st.regs[t][op.Reg]
-}
-
-func (s *NMCASimulator) loc(st *nstate, t int, ins *isa.Instr) mem.Loc {
-	return mem.Loc(s.operand(st, t, ins.Addr))
+	o := s.order + int(loc)*(1+s.maxW)
+	st[o+1+int(st[o])] = int64(id)
+	st[o]++
+	st[s.appliedAt(t, loc)] = st[o]
 }
 
 // scAtomic reports whether the AMO is store atomic under the current spec
 // (aq.rl; this simulator models riscv-curr nWR).
 func scAtomic(ins *isa.Instr) bool { return ins.Aq && ins.Rl }
 
-func (s *NMCASimulator) blocked(st *nstate, t int, ins *isa.Instr) bool {
+func (s *NMCASimulator) blocked(st []int64, t int, ins *isa.Instr) bool {
+	kind, _, _ := s.pendingOf(st, t)
 	switch {
 	case ins.Op == isa.OpLoad:
 		// Forwarding store buffer, W→R relaxed — except that an
 		// uncommitted same-location SC-AMO write lives at the memory
 		// system, not in the buffer, so the load must wait for its
 		// instant (it may not read an older write than the thread's own).
-		if p := st.pending[t]; p != nil && p.loc == s.loc(st, t, ins) {
-			return true
-		}
-		return false
+		return s.pendingAt(st, t, s.loc(st, t, ins))
 	case ins.Op == isa.OpAMOLoad:
 		// Reads at the memory system: no same-location entry may be
 		// buffered or pending; rl additionally waits for the whole
 		// buffer and for global visibility of own writes — a pending
 		// atomic is an own write not yet visible anywhere.
 		l := s.loc(st, t, ins)
-		if p := st.pending[t]; p != nil && p.loc == l {
+		if _, buffered := s.sbNewest(st, t, l); buffered || s.pendingAt(st, t, l) {
 			return true
 		}
-		for _, e := range st.sb[t] {
-			if e.loc == l {
-				return true
-			}
-		}
-		if ins.Rl && (len(st.sb[t]) > 0 || st.pending[t] != nil || !st.ownWritesGloballyApplied(t)) {
-			return true
-		}
-		return false
+		return ins.Rl && (s.sbLen(st, t) > 0 || kind != pendingNone || !s.ownWritesGloballyApplied(st, t))
 	case ins.Op.IsAMO():
 		// Writing AMOs flush the buffer (W→W + not-buffered) and wait
 		// for any in-flight atomic (SC pairs order their visibility
 		// instants; plain writes may not overtake one pointwise).
-		if st.pending[t] != nil || len(st.sb[t]) > 0 {
+		if kind != pendingNone || s.sbLen(st, t) > 0 {
 			return true
 		}
 		l := s.loc(st, t, ins)
@@ -372,211 +364,76 @@ func (s *NMCASimulator) blocked(st *nstate, t int, ins *isa.Instr) bool {
 			// SC read-modify-write with a destination: the read performs
 			// at the same instant the write becomes visible, so the
 			// commit conditions must already hold at execution.
-			for c := range st.applied {
-				if !st.caughtUp(c, l) {
-					return true
-				}
-			}
-			return !st.ownWritesGloballyApplied(t)
+			return !s.globallyCaughtUp(st, l) || !s.ownWritesGloballyApplied(st, t)
 		}
 		// Release (and relaxed) AMOs acquire the line and write through,
 		// propagating per core under source FIFO — the pointwise-vis
 		// reading of the eager release edges.
-		return !st.caughtUp(t, l)
+		return !s.caughtUp(st, t, l)
 	case ins.Op == isa.OpFence:
 		// W→R fences flush: own buffer empty and own writes applied
 		// everywhere (a pending atomic included). Other classes are
 		// covered by in-order execution and the source-FIFO application
 		// rule.
 		if ins.Pred.HasW() && ins.Succ.HasR() && ins.Cum != isa.CumLW {
-			return len(st.sb[t]) > 0 || st.pending[t] != nil || !st.ownWritesGloballyApplied(t)
+			return s.sbLen(st, t) > 0 || kind != pendingNone || !s.ownWritesGloballyApplied(st, t)
 		}
 	}
 	return false
 }
 
-func (s *NMCASimulator) execute(st *nstate, t int, ins *isa.Instr) {
+func (s *NMCASimulator) execute(st []int64, t int, ins *isa.Instr) {
+	l := s.loc(st, t, ins)
 	switch ins.Op {
 	case isa.OpLoad:
-		l := s.loc(st, t, ins)
-		val := st.view(t, l)
-		for i := len(st.sb[t]) - 1; i >= 0; i-- {
-			if st.sb[t][i].loc == l {
-				val = st.sb[t][i].val
-				break
-			}
+		v, ok := s.sbNewest(st, t, l)
+		if !ok {
+			v = s.view(st, t, l)
 		}
-		st.regs[t][ins.Dst] = val
+		s.setReg(st, t, ins.Dst, v)
 	case isa.OpStore:
-		st.sb[t] = append(st.sb[t], sbEntry{loc: s.loc(st, t, ins), val: s.operand(st, t, ins.Data)})
+		s.sbPush(st, t, l, s.operand(st, t, ins.Data))
 	case isa.OpAMOLoad:
-		st.regs[t][ins.Dst] = st.view(t, s.loc(st, t, ins))
+		s.setReg(st, t, ins.Dst, s.view(st, t, l))
 	case isa.OpAMOStore:
-		l := s.loc(st, t, ins)
 		if scAtomic(ins) {
-			st.pending[t] = &pendingAtomic{loc: l, data: s.operand(st, t, ins.Data)}
+			s.setPending(st, t, pendingWrite, l, s.operand(st, t, ins.Data))
 		} else {
 			s.appendWrite(st, t, l, s.operand(st, t, ins.Data), false)
 		}
-	case isa.OpAMOSwap:
-		l := s.loc(st, t, ins)
+	case isa.OpAMOSwap, isa.OpAMOAdd:
+		add := ins.Op == isa.OpAMOAdd
 		if scAtomic(ins) && ins.Dst == mem.NoDst {
-			st.pending[t] = &pendingAtomic{loc: l, data: s.operand(st, t, ins.Data)}
+			kind := pendingWrite
+			if add {
+				kind = pendingAdd
+			}
+			s.setPending(st, t, kind, l, s.operand(st, t, ins.Data))
 			break
 		}
+		old := s.view(st, t, l)
 		if ins.Dst != mem.NoDst {
-			st.regs[t][ins.Dst] = st.view(t, l)
+			s.setReg(st, t, ins.Dst, old)
 		}
-		s.appendWrite(st, t, l, s.operand(st, t, ins.Data), scAtomic(ins))
+		val := s.operand(st, t, ins.Data)
+		if add {
+			val += old
+		}
+		s.appendWrite(st, t, l, val, scAtomic(ins))
 		if scAtomic(ins) {
 			// blocked() held this back until the commit conditions were
 			// met, so the write's instant is now — apply it everywhere.
-			for c := range st.applied {
-				st.applied[c][l] = len(st.order[l])
-			}
+			s.applyAllAt(st, l)
 		}
-	case isa.OpAMOAdd:
-		l := s.loc(st, t, ins)
-		if scAtomic(ins) && ins.Dst == mem.NoDst {
-			st.pending[t] = &pendingAtomic{loc: l, data: s.operand(st, t, ins.Data), add: true}
-			break
-		}
-		old := st.view(t, l)
-		if ins.Dst != mem.NoDst {
-			st.regs[t][ins.Dst] = old
-		}
-		s.appendWrite(st, t, l, old+s.operand(st, t, ins.Data), scAtomic(ins))
-		if scAtomic(ins) {
-			for c := range st.applied {
-				st.applied[c][l] = len(st.order[l])
-			}
-		}
-	case isa.OpFence:
-		// Ordering handled in blocked().
 	}
+	// A fence's ordering effect is all in blocked().
 }
 
-// Trace searches for an interleaving (execute, drain and per-core apply
-// actions) reaching the target outcome and returns it as human-readable
-// actions, or nil if unreachable. Like Simulator.Trace it uses its own
-// visited set.
-func (s *NMCASimulator) Trace(target mem.Outcome) []string {
-	nlocs := s.p.Mem().NumLocs
-	n := s.p.NumThreads()
-	init := &nstate{
-		pc:       make([]int, n),
-		regs:     make([][]int64, n),
-		sb:       make([][]sbEntry, n),
-		order:    make([][]int, nlocs),
-		applied:  make([][]int, n),
-		drainSeq: make([]int, n),
-	}
-	init.pending = make([]*pendingAtomic, n)
-	for t := 0; t < n; t++ {
-		init.regs[t] = make([]int64, s.maxRegs[t])
-		init.applied[t] = make([]int, nlocs)
-	}
-	seen := map[string]bool{}
-	var path []string
-	var found []string
-	var dfs func(st *nstate) bool
-	dfs = func(st *nstate) bool {
-		k := st.key()
-		if seen[k] {
-			return false
+func (s *NMCASimulator) outcome(st []int64) mem.Outcome {
+	return s.finalOutcome(st, func(l mem.Loc) int64 {
+		if n := s.orderLen(st, l); n > 0 {
+			return st[s.write(s.orderAt(st, l, n-1))+wVal]
 		}
-		seen[k] = true
-		progress := false
-		for c := 0; c < n; c++ {
-			for l := range st.order {
-				if st.canApply(c, mem.Loc(l)) {
-					progress = true
-					next := st.clone()
-					w := next.writes[next.order[l][next.applied[c][l]]]
-					next.applied[c][l]++
-					path = append(path, fmt.Sprintf("T%d: apply %s=%d (written by T%d)",
-						c, s.p.Mem().LocName(mem.Loc(l)), w.val, w.src))
-					if dfs(next) {
-						return true
-					}
-					path = path[:len(path)-1]
-				}
-			}
-		}
-		for t := 0; t < n; t++ {
-			if st.canCommit(t) {
-				progress = true
-				next := st.clone()
-				p := *st.pending[t]
-				s.commitPending(next, t)
-				path = append(path, fmt.Sprintf("T%d: commit atomic %s=%d to every core",
-					t, s.p.Mem().LocName(p.loc), next.writes[len(next.writes)-1].val))
-				if dfs(next) {
-					return true
-				}
-				path = path[:len(path)-1]
-			}
-			if len(st.sb[t]) > 0 && st.pending[t] == nil && st.caughtUp(t, st.sb[t][0].loc) {
-				progress = true
-				next := st.clone()
-				e := next.sb[t][0]
-				next.sb[t] = next.sb[t][1:]
-				s.appendWrite(next, t, e.loc, e.val, false)
-				path = append(path, fmt.Sprintf("T%d: drain %s=%d into the coherence order",
-					t, s.p.Mem().LocName(e.loc), e.val))
-				if dfs(next) {
-					return true
-				}
-				path = path[:len(path)-1]
-			}
-			if st.pc[t] < len(s.p.Instrs[t]) {
-				ins := s.p.Instrs[t][st.pc[t]]
-				if s.blocked(st, t, ins) {
-					continue
-				}
-				progress = true
-				next := st.clone()
-				s.execute(next, t, ins)
-				next.pc[t]++
-				path = append(path, fmt.Sprintf("T%d: execute instruction %d", t, st.pc[t]))
-				if dfs(next) {
-					return true
-				}
-				path = path[:len(path)-1]
-			}
-		}
-		if !progress && s.finalOutcome(st) == target {
-			found = append([]string(nil), path...)
-			return true
-		}
-		return false
-	}
-	if dfs(init) {
-		return found
-	}
-	return nil
-}
-
-func (s *NMCASimulator) finalOutcome(st *nstate) mem.Outcome {
-	mp := s.p.Mem()
-	o := mem.OutcomeFromValues(mp.Observers, func(ob mem.Observer) int64 {
-		return st.regs[ob.Thread][ob.Reg]
+		return 0
 	})
-	if len(mp.MemObservers) == 0 {
-		return o
-	}
-	parts := make([]string, 0, len(mp.MemObservers))
-	for _, m := range mp.MemObservers {
-		n := len(st.order[m.Loc])
-		var v int64
-		if n > 0 {
-			v = st.writes[st.order[m.Loc][n-1]].val
-		}
-		parts = append(parts, fmt.Sprintf("%s=%d", m.Label, v))
-	}
-	memPart := mem.Outcome(strings.Join(parts, "; "))
-	if o == "" {
-		return memPart
-	}
-	return o + "; " + memPart
 }

@@ -14,60 +14,17 @@
 package opsim
 
 import (
-	"fmt"
-	"strings"
-
 	"tricheck/internal/isa"
 	"tricheck/internal/mem"
 )
 
-// sbEntry is one buffered store.
-type sbEntry struct {
-	loc mem.Loc
-	val int64
-}
-
-// state is a full machine configuration. States are memoized by their
-// canonical string key.
-type state struct {
-	pc   []int
-	regs [][]int64
-	sb   [][]sbEntry
-	mem  []int64
-}
-
-func (s *state) clone() *state {
-	c := &state{
-		pc:  append([]int(nil), s.pc...),
-		mem: append([]int64(nil), s.mem...),
-	}
-	c.regs = make([][]int64, len(s.regs))
-	for i := range s.regs {
-		c.regs[i] = append([]int64(nil), s.regs[i]...)
-	}
-	c.sb = make([][]sbEntry, len(s.sb))
-	for i := range s.sb {
-		c.sb[i] = append([]sbEntry(nil), s.sb[i]...)
-	}
-	return c
-}
-
-func (s *state) key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%v|%v|%v|", s.pc, s.regs, s.mem)
-	for _, q := range s.sb {
-		fmt.Fprintf(&b, "%v;", q)
-	}
-	return b.String()
-}
-
 // Simulator explores a program on the operational WR (or, with
-// Forwarding, TSO) machine.
+// Forwarding, TSO) machine. Its flat state (see frame) appends the
+// memory, one word per location, to the shared layout.
 type Simulator struct {
-	p       *isa.Program
-	maxRegs []int
-	seen    map[string]bool
-	out     map[mem.Outcome]bool
+	frame
+	memOff int
+	out    map[mem.Outcome]bool
 	// Forwarding lets plain loads read the newest same-address entry of
 	// the local store buffer instead of stalling — turning the WR machine
 	// into an x86-TSO-like one (cross-checked against uspec.TSO).
@@ -83,22 +40,8 @@ type Simulator struct {
 
 // New returns a simulator for the program on the WR machine.
 func New(p *isa.Program) *Simulator {
-	s := &Simulator{p: p, seen: map[string]bool{}, out: map[mem.Outcome]bool{}}
-	s.maxRegs = make([]int, p.NumThreads())
-	for t, th := range p.Instrs {
-		max := 0
-		for _, ins := range th {
-			if ins.Dst != mem.NoDst && ins.Dst+1 > max {
-				max = ins.Dst + 1
-			}
-			for _, op := range []mem.Operand{ins.Addr, ins.Data} {
-				if op.Kind == mem.OpReg && op.Reg+1 > max {
-					max = op.Reg + 1
-				}
-			}
-		}
-		s.maxRegs[t] = max
-	}
+	s := &Simulator{frame: newFrame(p)}
+	s.memOff = s.alloc(p.Mem().NumLocs)
 	return s
 }
 
@@ -119,67 +62,58 @@ func NewSC(p *isa.Program) *Simulator {
 
 // Outcomes exhaustively explores all interleavings and returns the set of
 // reachable final states (register observers plus final memory observers,
-// in the same canonical form as the axiomatic side).
+// in the same canonical form as the axiomatic side). The visited set is
+// dropped on return; later calls return the same set.
 func (s *Simulator) Outcomes() map[mem.Outcome]bool {
-	init := &state{
-		pc:   make([]int, s.p.NumThreads()),
-		mem:  make([]int64, s.p.Mem().NumLocs),
-		regs: make([][]int64, s.p.NumThreads()),
-		sb:   make([][]sbEntry, s.p.NumThreads()),
+	if s.out == nil {
+		s.out, s.States = explore(s, s.size)
 	}
-	for t := range init.regs {
-		init.regs[t] = make([]int64, s.maxRegs[t])
-	}
-	s.explore(init)
 	return s.out
 }
 
-func (s *Simulator) explore(st *state) {
-	k := st.key()
-	if s.seen[k] {
-		return
-	}
-	s.seen[k] = true
-	s.States++
+// Trace searches for an interleaving reaching the target outcome and
+// returns it as a list of human-readable actions, or nil if unreachable.
+// It explores with its own visited set.
+func (s *Simulator) Trace(target mem.Outcome) []string {
+	return trace(s, s.size, s.p.Mem(), target)
+}
 
-	progress := false
-	for t := 0; t < s.p.NumThreads(); t++ {
-		// Drain the oldest store-buffer entry.
-		if len(st.sb[t]) > 0 {
-			progress = true
-			next := st.clone()
-			e := next.sb[t][0]
-			next.sb[t] = next.sb[t][1:]
-			next.mem[e.loc] = e.val
-			s.explore(next)
+// successors generates, per thread, a store-buffer drain and then the
+// execution of the next instruction unless it is blocked.
+func (s *Simulator) successors(st, next []int64, emit func(action) bool) bool {
+	for t := 0; t < s.n; t++ {
+		if s.sbLen(st, t) > 0 {
+			copy(next, st)
+			l, v := s.sbPop(next, t)
+			next[s.memOff+int(l)] = v
+			if emit(action{kind: actDrainToMemory, thread: t, loc: l, val: v}) {
+				return true
+			}
 		}
-		// Execute the next instruction if not blocked.
-		if st.pc[t] < len(s.p.Instrs[t]) {
-			ins := s.p.Instrs[t][st.pc[t]]
+		if pc := int(st[t]); pc < len(s.p.Instrs[t]) {
+			ins := s.p.Instrs[t][pc]
 			if s.blocked(st, t, ins) {
 				continue
 			}
-			progress = true
-			next := st.clone()
+			copy(next, st)
 			s.execute(next, t, ins)
-			next.pc[t]++
-			s.explore(next)
+			next[t]++
+			if emit(action{kind: actExecute, thread: t, src: pc}) {
+				return true
+			}
 		}
 	}
-	if !progress {
-		s.out[s.finalOutcome(st)] = true
-	}
+	return false
 }
 
-func (s *Simulator) operand(st *state, t int, op mem.Operand) int64 {
-	if op.Kind == mem.OpConst {
-		return op.Const
-	}
-	return st.regs[t][op.Reg]
+func (s *Simulator) outcome(st []int64) mem.Outcome {
+	return s.finalOutcome(st, func(l mem.Loc) int64 { return st[s.memOff+int(l)] })
 }
 
-func (s *Simulator) loc(st *state, t int, ins *isa.Instr) mem.Loc {
-	return mem.Loc(s.operand(st, t, ins.Addr))
+// sbHas reports whether thread t buffers a store to l.
+func (s *Simulator) sbHas(st []int64, t int, l mem.Loc) bool {
+	_, ok := s.sbNewest(st, t, l)
+	return ok
 }
 
 // blocked implements the WR stall conditions:
@@ -191,175 +125,63 @@ func (s *Simulator) loc(st *state, t int, ins *isa.Instr) mem.Loc {
 //     be visible before it);
 //   - a fence ordering W→R stalls until the buffer is empty (that is the
 //     only ordering the in-order core and FIFO buffer do not already give).
-func (s *Simulator) blocked(st *state, t int, ins *isa.Instr) bool {
+func (s *Simulator) blocked(st []int64, t int, ins *isa.Instr) bool {
 	switch {
 	case ins.Op == isa.OpLoad:
-		if s.Forwarding {
-			return false // reads the newest SB entry or memory
-		}
-		l := s.loc(st, t, ins)
-		for _, e := range st.sb[t] {
-			if e.loc == l {
-				return true
-			}
-		}
-		return false
+		// Under forwarding the load reads the newest SB entry or memory.
+		return !s.Forwarding && s.sbHas(st, t, s.loc(st, t, ins))
 	case ins.Op.IsAMO():
 		// AMOs execute at memory even under forwarding. A writing AMO
 		// additionally flushes the store buffer first (like an x86 locked
 		// operation): the machine preserves W→W order, so its write must
 		// not become visible before earlier buffered stores.
-		if ins.Op != isa.OpAMOLoad {
-			return len(st.sb[t]) > 0
+		if ins.Op != isa.OpAMOLoad || ins.Rl {
+			return s.sbLen(st, t) > 0
 		}
-		l := s.loc(st, t, ins)
-		for _, e := range st.sb[t] {
-			if e.loc == l {
-				return true
-			}
-		}
-		if ins.Rl && len(st.sb[t]) > 0 {
-			return true
-		}
-		return false
+		return s.sbHas(st, t, s.loc(st, t, ins))
 	case ins.Op == isa.OpFence:
-		if ins.Pred.HasW() && ins.Succ.HasR() && ins.Cum != isa.CumLW && len(st.sb[t]) > 0 {
-			return true
-		}
+		return ins.Pred.HasW() && ins.Succ.HasR() && ins.Cum != isa.CumLW && s.sbLen(st, t) > 0
 	}
 	return false
 }
 
-// loadValue reads a location as thread t sees it: the newest same-address
-// store-buffer entry under forwarding, else memory.
-func (s *Simulator) loadValue(st *state, t int, l mem.Loc) int64 {
-	if s.Forwarding {
-		for i := len(st.sb[t]) - 1; i >= 0; i-- {
-			if st.sb[t][i].loc == l {
-				return st.sb[t][i].val
-			}
-		}
-	}
-	return st.mem[l]
-}
-
-func (s *Simulator) execute(st *state, t int, ins *isa.Instr) {
+func (s *Simulator) execute(st []int64, t int, ins *isa.Instr) {
+	l := s.loc(st, t, ins)
+	at := s.memOff + int(l)
 	switch ins.Op {
 	case isa.OpLoad:
-		st.regs[t][ins.Dst] = s.loadValue(st, t, s.loc(st, t, ins))
+		v := st[at]
+		if s.Forwarding {
+			if fv, ok := s.sbNewest(st, t, l); ok {
+				v = fv
+			}
+		}
+		s.setReg(st, t, ins.Dst, v)
 	case isa.OpStore:
 		if s.WriteThrough {
-			st.mem[s.loc(st, t, ins)] = s.operand(st, t, ins.Data)
+			st[at] = s.operand(st, t, ins.Data)
 			break
 		}
-		st.sb[t] = append(st.sb[t], sbEntry{loc: s.loc(st, t, ins), val: s.operand(st, t, ins.Data)})
+		s.sbPush(st, t, l, s.operand(st, t, ins.Data))
 	case isa.OpAMOLoad:
 		// Atomic load: reads memory; the write-back of the same value is
 		// silent (see isa.OpAMOLoad).
-		st.regs[t][ins.Dst] = st.mem[s.loc(st, t, ins)]
+		s.setReg(st, t, ins.Dst, st[at])
 	case isa.OpAMOStore:
 		// Atomic store: bypasses the store buffer (MCA anyway) and writes
 		// memory directly.
-		st.mem[s.loc(st, t, ins)] = s.operand(st, t, ins.Data)
+		st[at] = s.operand(st, t, ins.Data)
 	case isa.OpAMOSwap:
-		l := s.loc(st, t, ins)
 		if ins.Dst != mem.NoDst {
-			st.regs[t][ins.Dst] = st.mem[l]
+			s.setReg(st, t, ins.Dst, st[at])
 		}
-		st.mem[l] = s.operand(st, t, ins.Data)
+		st[at] = s.operand(st, t, ins.Data)
 	case isa.OpAMOAdd:
-		l := s.loc(st, t, ins)
-		old := st.mem[l]
+		old := st[at]
 		if ins.Dst != mem.NoDst {
-			st.regs[t][ins.Dst] = old
+			s.setReg(st, t, ins.Dst, old)
 		}
-		st.mem[l] = old + s.operand(st, t, ins.Data)
-	case isa.OpFence:
-		// Ordering effects are captured by blocked(); nothing to do.
+		st[at] = old + s.operand(st, t, ins.Data)
 	}
-}
-
-// Trace searches for an interleaving reaching the target outcome and
-// returns it as a list of human-readable actions, or nil if unreachable.
-// It uses its own visited set, so call it on a fresh or reused Simulator
-// freely.
-func (s *Simulator) Trace(target mem.Outcome) []string {
-	init := &state{
-		pc:   make([]int, s.p.NumThreads()),
-		mem:  make([]int64, s.p.Mem().NumLocs),
-		regs: make([][]int64, s.p.NumThreads()),
-		sb:   make([][]sbEntry, s.p.NumThreads()),
-	}
-	for t := range init.regs {
-		init.regs[t] = make([]int64, s.maxRegs[t])
-	}
-	seen := map[string]bool{}
-	var path []string
-	var found []string
-	var dfs func(st *state) bool
-	dfs = func(st *state) bool {
-		k := st.key()
-		if seen[k] {
-			return false
-		}
-		seen[k] = true
-		progress := false
-		for t := 0; t < s.p.NumThreads(); t++ {
-			if len(st.sb[t]) > 0 {
-				progress = true
-				next := st.clone()
-				e := next.sb[t][0]
-				next.sb[t] = next.sb[t][1:]
-				next.mem[e.loc] = e.val
-				path = append(path, fmt.Sprintf("T%d: drain %s=%d to memory", t, s.p.Mem().LocName(e.loc), e.val))
-				if dfs(next) {
-					return true
-				}
-				path = path[:len(path)-1]
-			}
-			if st.pc[t] < len(s.p.Instrs[t]) {
-				ins := s.p.Instrs[t][st.pc[t]]
-				if s.blocked(st, t, ins) {
-					continue
-				}
-				progress = true
-				next := st.clone()
-				s.execute(next, t, ins)
-				next.pc[t]++
-				path = append(path, fmt.Sprintf("T%d: execute instruction %d", t, st.pc[t]))
-				if dfs(next) {
-					return true
-				}
-				path = path[:len(path)-1]
-			}
-		}
-		if !progress && s.finalOutcome(st) == target {
-			found = append([]string(nil), path...)
-			return true
-		}
-		return false
-	}
-	if dfs(init) {
-		return found
-	}
-	return nil
-}
-
-func (s *Simulator) finalOutcome(st *state) mem.Outcome {
-	mp := s.p.Mem()
-	o := mem.OutcomeFromValues(mp.Observers, func(ob mem.Observer) int64 {
-		return st.regs[ob.Thread][ob.Reg]
-	})
-	if len(mp.MemObservers) == 0 {
-		return o
-	}
-	parts := make([]string, 0, len(mp.MemObservers))
-	for _, m := range mp.MemObservers {
-		parts = append(parts, fmt.Sprintf("%s=%d", m.Label, st.mem[m.Loc]))
-	}
-	memPart := mem.Outcome(strings.Join(parts, "; "))
-	if o == "" {
-		return memPart
-	}
-	return o + "; " + memPart
+	// A fence's ordering effect is all in blocked().
 }

@@ -186,3 +186,24 @@ func TestOperationalDrainInterleavings(t *testing.T) {
 		t.Error("no states explored")
 	}
 }
+
+// TestAddressNotALocationPanics: a register-carried address that names no
+// location stops the exploration instead of indexing into a neighbouring
+// part of the flat state.
+func TestAddressNotALocationPanics(t *testing.T) {
+	p := isa.NewProgram(isa.RISCV, 2, "x", "y")
+	p.Add(0, riscv.SW(mem.Const(-1), mem.Const(1)))
+	p.Add(1, riscv.LW(0, mem.Const(1)))
+	p.Add(1, riscv.LW(1, mem.FromReg(0)))
+	p.Observe(1, 1, "r1")
+	for _, sim := range []Enumerator{New(p), NewTSO(p), NewNMCA(p)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%T: no panic on address -1", sim)
+				}
+			}()
+			sim.Outcomes()
+		}()
+	}
+}

@@ -7,7 +7,10 @@ import (
 
 	"tricheck/internal/c11"
 	"tricheck/internal/compile"
+	"tricheck/internal/isa"
+	"tricheck/internal/isa/riscv"
 	"tricheck/internal/litmus"
+	"tricheck/internal/mem"
 	"tricheck/internal/uspec"
 )
 
@@ -46,6 +49,69 @@ func TestNMCASeedCorpus(t *testing.T) {
 			if !op[o] {
 				t.Errorf("seed %d: outcome %q observable axiomatically on nWR, unreachable operationally\n%s", seed, o, p)
 			}
+		}
+	}
+}
+
+// wrSeedCorpus pins seeds of the WR and TSO differentials
+// (TestFuzzDifferentialWR/TSO) that once exposed an axiomatic defect.
+var wrSeedCorpus = []int64{
+	-4126572922277777536, // TSO: a load forwards from the newer of two same-address stores
+	17266,                // TSO: the same forwarding pattern behind a third thread's reads
+	18005,                // TSO: two same-address stores, then a forwarded load and a load of x
+}
+
+// TestWRSeedCorpus replays the pinned seeds through the WR and TSO
+// differentials.
+func TestWRSeedCorpus(t *testing.T) {
+	for _, seed := range wrSeedCorpus {
+		if !differential(t, rand.New(rand.NewSource(seed)), uspec.WR(uspec.Curr), false) {
+			t.Errorf("seed %d: WR operational and axiomatic outcome sets differ", seed)
+		}
+		if !differential(t, rand.New(rand.NewSource(seed)), uspec.TSO(), true) {
+			t.Errorf("seed %d: TSO operational and axiomatic outcome sets differ", seed)
+		}
+	}
+}
+
+// TestTSOForwardFromNewerStore is the handcrafted companion to
+// wrSeedCorpus. T0 buffers two stores to x and its load of x forwards
+// from the newer one, so the older store need not have drained when the
+// load performs; T0's load of y can then read 0 while T1, whose fence
+// drains its store of y, still reads x=0. The axiomatic model used to
+// order the older store's visibility before the load
+// (sb-same-addr-drain fired for every po-earlier same-address store the
+// load did not read), which forbade this outcome.
+func TestTSOForwardFromNewerStore(t *testing.T) {
+	p := isa.NewProgram(isa.RISCV, 2, "x", "y")
+	p.Add(0, riscv.SW(mem.Const(1), mem.Const(0)))
+	p.Add(0, riscv.SW(mem.Const(1), mem.Const(0)))
+	p.Add(0, riscv.LW(0, mem.Const(0)))
+	p.Add(0, riscv.LW(1, mem.Const(1)))
+	p.Add(1, riscv.SW(mem.Const(1), mem.Const(1)))
+	p.Add(1, riscv.Fence(isa.ClassRW, isa.ClassRW))
+	p.Add(1, riscv.LW(2, mem.Const(0)))
+	p.Observe(0, 0, "r0")
+	p.Observe(0, 1, "r1")
+	p.Observe(1, 2, "r2")
+	const target mem.Outcome = "r0=1; r1=0; r2=0"
+	if NewTSO(p).Trace(target) == nil {
+		t.Fatalf("%q unreachable on the operational TSO machine", target)
+	}
+	ax, err := uspec.TSO().Evaluate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !ax.Observable[target] {
+		t.Errorf("%q forbidden on the axiomatic TSO model", target)
+	}
+	op := NewTSO(p).Outcomes()
+	if len(op) != len(ax.Observable) {
+		t.Errorf("operational outcomes %v, axiomatic %v", op, ax.Observable)
+	}
+	for o := range op {
+		if !ax.Observable[o] {
+			t.Errorf("%q reachable operationally, forbidden axiomatically", o)
 		}
 	}
 }

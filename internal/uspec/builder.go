@@ -276,6 +276,17 @@ func (b *builder) pipeline() {
 // (dynamic: resolved locations can depend on register-carried addresses).
 func (b *builder) sameAddr(a, bb int) bool { return b.x.SameLoc(a, bb) }
 
+// rfBetween reports whether th[j] reads from a write po-between th[i]
+// and th[j].
+func (b *builder) rfBetween(th []*mem.Event, i, j int) bool {
+	for k := i + 1; k < j; k++ {
+		if b.x.RF[th[j].GID] == th[k].GID {
+			return true
+		}
+	}
+	return false
+}
+
 // ppo adds preserved-program-order edges according to the relaxation
 // profile. Mixed tier: unconditional orders are static, same-address
 // refinements consult the execution's resolved locations.
@@ -325,10 +336,11 @@ func (b *builder) ppo() {
 					for v := 0; v < b.numVis(ag); v++ {
 						b.addS(b.visN(ag, v), b.perform(cg), rAmoNotBuffered)
 					}
-				case b.dyn() && b.sameAddr(ag, cg) && b.x.RF[cg] != ag:
-					// The load reads something other than the newest
-					// same-address SB entry, so that entry must have
-					// drained first.
+				case b.dyn() && b.sameAddr(ag, cg) && b.x.RF[cg] != ag && !b.rfBetween(th, i, j):
+					// The load reads something other than a's SB entry
+					// or a newer same-address one of its own thread
+					// (forwarded or drained), so a must have drained
+					// first.
 					for v := 0; v < b.numVis(ag); v++ {
 						b.addD(b.visN(ag, v), b.perform(cg), rSbSameAddrDrain)
 					}
