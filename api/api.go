@@ -49,15 +49,6 @@ type VerifyRequest struct {
 	// Workers requests a farm worker count; the server clamps it to its
 	// per-request budget (0 = the budget itself).
 	Workers int `json:"workers,omitempty"`
-	// Keys, when non-empty, restricts the sweep to the (test, stack)
-	// pairs whose backend-tagged memo keys (core.JobKeyBackend — the Key
-	// field of every verdict record) appear in the list. The fleet
-	// coordinator uses it to dispatch one shard of a sweep to one worker:
-	// keys are content-addressed, so both sides compute identical keys
-	// from the same selectors. A key matching no resolved pair is
-	// ignored, which is what lets a hedged re-dispatch name keys the
-	// original worker already delivered.
-	Keys []string `json:"keys,omitempty"`
 }
 
 // VerdictRecord is one streamed (test, stack) verdict, emitted in farm
@@ -86,13 +77,8 @@ type VerdictRecord struct {
 	Backend string `json:"backend,omitempty"`
 	// SpecifiedBug marks the test's designated interesting outcome as
 	// forbidden-yet-observable on this stack — the paper's headline
-	// counting. It rides on the record so a fleet coordinator can
-	// aggregate per-stack specified_bugs tallies from merged streams
-	// without re-running step 4.
+	// counting.
 	SpecifiedBug bool `json:"specified_bug,omitempty"`
-	// Worker is the fleet worker URL that produced this record; set only
-	// on coordinator-merged streams with more than one worker.
-	Worker string `json:"worker,omitempty"`
 	// Divergence carries the cross-check detail when Verdict is
 	// "Divergence" (backend=both only).
 	Divergence *Divergence `json:"divergence,omitempty"`
@@ -179,35 +165,6 @@ type SummaryRecord struct {
 	// per-request cut meaningless). The full per-(model, axiom) matrix
 	// and verdict vectors live at GET /v1/coverage.
 	Coverage CoverageTotals `json:"coverage"`
-	// Fleet reports how a coordinator spread this sweep across its
-	// workers (absent on single-node streams).
-	Fleet *FleetSummary `json:"fleet,omitempty"`
-}
-
-// FleetSummary is the coordinator's per-sweep dispatch accounting,
-// attached to a merged stream's terminal summary.
-type FleetSummary struct {
-	// Workers lists every worker that received at least one shard of the
-	// sweep, in dispatch order.
-	Workers []WorkerSummary `json:"workers"`
-	// Hedges counts shard re-dispatches to a ring successor (slow or
-	// dead worker); Deduped counts merged records dropped because a
-	// hedged duplicate of the same (key, test, stack) already arrived.
-	Hedges  int `json:"hedges,omitempty"`
-	Deduped int `json:"deduped,omitempty"`
-}
-
-// WorkerSummary is one fleet worker's share of a merged sweep.
-type WorkerSummary struct {
-	// Worker is the worker's base URL.
-	Worker string `json:"worker"`
-	// Dispatched counts jobs assigned to this worker (hedged duplicates
-	// included); Completed counts its records the merger accepted.
-	Dispatched int `json:"dispatched"`
-	Completed  int `json:"completed"`
-	// Failed marks a worker whose sub-request errored mid-sweep (its
-	// remaining jobs moved to a ring successor).
-	Failed bool `json:"failed,omitempty"`
 }
 
 // ErrorRecord is the stream's terminal record when the sweep failed.
@@ -261,38 +218,6 @@ type StatsRecord struct {
 	// server's lifetime (absent while zero).
 	Divergences uint64         `json:"divergences,omitempty"`
 	Memo        *MemoStatsJSON `json:"memo,omitempty"`
-	// Fleet reports coordinator-mode dispatch counters (absent on plain
-	// workers).
-	Fleet *FleetStatsJSON `json:"fleet,omitempty"`
-}
-
-// WorkerStatsJSON is one fleet worker's lifetime counters on the
-// coordinator.
-type WorkerStatsJSON struct {
-	URL     string `json:"url"`
-	Healthy bool   `json:"healthy"`
-	// Dispatched/Completed count jobs sent to and records merged from
-	// this worker; Hedged counts shards re-dispatched away from it;
-	// Retried counts jobs re-assigned to it from a failed peer.
-	Dispatched uint64 `json:"dispatched"`
-	Completed  uint64 `json:"completed"`
-	Hedged     uint64 `json:"hedged"`
-	Retried    uint64 `json:"retried"`
-}
-
-// FleetStatsJSON is the coordinator's /v1/stats block: ring membership,
-// health, and lifetime dispatch counters.
-type FleetStatsJSON struct {
-	Workers int `json:"workers"`
-	Healthy int `json:"healthy"`
-	// Sweeps counts merged fleet sweeps; Hedges/Deduped/Rebalances the
-	// lifetime hedge re-dispatches, duplicate records dropped by the
-	// merger, and memo-slice rebalance pushes.
-	Sweeps     int64             `json:"sweeps"`
-	Hedges     uint64            `json:"hedges"`
-	Deduped    uint64            `json:"deduped"`
-	Rebalances uint64            `json:"rebalances"`
-	PerWorker  []WorkerStatsJSON `json:"per_worker,omitempty"`
 }
 
 // The /v1/coverage shapes mirror internal/cover's deterministic JSON

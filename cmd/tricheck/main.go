@@ -11,9 +11,8 @@
 //	         [-cache file] [-corpus dir] [-export dir] [-progress]
 //	         [-profile prefix] [-metrics-out file] [-fail-on-bug]
 //	         [-backend uhb|opsim|both] [-fail-on-divergence]
-//	         [-fleet URL]
 //	tricheck top [-family wrc] [-isa ...] [-variant ...] [-workers N]
-//	         [-k 10] [-cycle-sample 64] [-json] [-fleet URL]
+//	         [-k 10] [-cycle-sample 64] [-json]
 //	tricheck coverage [-family wrc] [-isa ...] [-variant ...] [-lattice]
 //	         [-model-file spec.uspec ...] [-workers N] [-cache file]
 //	         [-discriminate] [-coverage-out file] [-k 10]
@@ -143,27 +142,7 @@ func main() {
 	failOnBug := flag.Bool("fail-on-bug", false, "exit non-zero (3) when any Bug verdict appears — lets CI gate on regressions")
 	backendFlag := flag.String("backend", "uhb", "verdict backend: uhb (axiomatic µhb), opsim (operational simulator) or both (cross-check)")
 	failOnDivergence := flag.Bool("fail-on-divergence", false, "exit non-zero (4) when backend=both finds a cross-check divergence")
-	fleetURL := flag.String("fleet", "", "run the sweep via a remote tricheckd (a -coordinator fleet or a single node) at this base URL instead of in-process")
 	flag.Parse()
-
-	if *fleetURL != "" {
-		for flagName, set := range map[string]bool{
-			"-corpus": *corpusDir != "", "-export": *export != "", "-model-file": len(modelFiles) > 0,
-			"-lattice": *lattice, "-cache": *cache != "", "-diagnose": *diagnose,
-			"-profile": *profile != "", "-metrics-out": *metricsOut != "",
-		} {
-			if set {
-				fmt.Fprintf(os.Stderr, "tricheck: %s is engine-local and cannot combine with -fleet\n", flagName)
-				os.Exit(2)
-			}
-		}
-		runFleet(*fleetURL, fleetOpts{
-			family: *family, isa: *isaFlag, variant: *variant, backend: *backendFlag,
-			workers: *workers, csv: *csv, progress: *progress,
-			failOnBug: *failOnBug, failOnDivergence: *failOnDivergence,
-		})
-		return
-	}
 
 	backend, err := tricheck.ParseBackend(*backendFlag)
 	if err != nil {

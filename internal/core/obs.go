@@ -12,8 +12,7 @@ import (
 
 // Engine-level telemetry: the toolflow phase histograms core owns (µspec
 // owns skeleton/enumerate/cycle_check), the shared farm scheduler
-// metrics, and the per-(test, stack) cost matrix behind `tricheck top`
-// and the fleet coordinator's hedging decisions.
+// metrics, and the per-(test, stack) cost matrix behind `tricheck top`.
 
 var (
 	// farmMetrics is the scheduler telemetry every engine's sweeps record

@@ -314,6 +314,22 @@ func TestSweepStreamEventKeysMatchJobKeys(t *testing.T) {
 	}
 }
 
+// TestSweepEmptyTestList: no tests means no SuiteResults (not one empty
+// result per stack), no events, and a closed events channel.
+func TestSweepEmptyTestList(t *testing.T) {
+	events := make(chan Progress, 1)
+	results, err := NewEngine().SweepStream(nil, testStacks()[:2], 0, events)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if results == nil || len(results) != 0 {
+		t.Fatalf("results = %#v, want an empty non-nil slice", results)
+	}
+	if ev, open := <-events; open {
+		t.Fatalf("unexpected event %+v", ev)
+	}
+}
+
 func TestSelectStacks(t *testing.T) {
 	both, err := SelectStacks("both", "both")
 	if err != nil || len(both) != 28 {

@@ -128,19 +128,8 @@ const snapshotVersion = 2
 var ErrSnapshotVersion = errors.New("incompatible snapshot version")
 
 // EncodeSnapshot marshals a string-keyed cache in the snapshot envelope.
-// A non-nil keep filters the entries — the fleet's memo-replication path
-// uses it to slice a worker's cache by consistent-hash ownership — while
-// keep == nil takes everything (the on-disk snapshot).
-func EncodeSnapshot[V any](c *Cache[string, V], keep func(key string) bool) ([]byte, error) {
-	entries := c.Entries()
-	if keep != nil {
-		for k := range entries {
-			if !keep(k) {
-				delete(entries, k)
-			}
-		}
-	}
-	data, err := json.Marshal(snapshot[V]{Version: snapshotVersion, Entries: entries})
+func EncodeSnapshot[V any](c *Cache[string, V]) ([]byte, error) {
+	data, err := json.Marshal(snapshot[V]{Version: snapshotVersion, Entries: c.Entries()})
 	if err != nil {
 		return nil, fmt.Errorf("farm: encoding snapshot: %w", err)
 	}
@@ -168,7 +157,7 @@ func DecodeSnapshot[V any](data []byte, c *Cache[string, V]) error {
 // SaveSnapshot writes a string-keyed cache to path as JSON, atomically
 // (write to a temp file in the same directory, then rename).
 func SaveSnapshot[V any](path string, c *Cache[string, V]) error {
-	data, err := EncodeSnapshot(c, nil)
+	data, err := EncodeSnapshot(c)
 	if err != nil {
 		return err
 	}

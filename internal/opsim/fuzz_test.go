@@ -54,6 +54,64 @@ func randomProgram(rng *rand.Rand) *isa.Program {
 	return p
 }
 
+// withStoreAtomicAMOs returns p with one or two store-atomic (aq.rl)
+// writing AMOs inserted at random positions. randomProgram never sets
+// both bits, so without this pass the nMCA machine's SC-AMO paths go
+// unfuzzed. It draws only after randomProgram's draws, so the pinned
+// seed corpora keep generating the same base programs.
+func withStoreAtomicAMOs(rng *rand.Rand, p *isa.Program) *isa.Program {
+	reg := 0
+	for _, th := range p.Instrs {
+		for _, ins := range th {
+			if ins.Dst >= reg {
+				reg = ins.Dst + 1
+			}
+		}
+	}
+	type insert struct {
+		t, pos int
+		ins    isa.Instr
+	}
+	var adds []insert
+	for k := 1 + rng.Intn(2); k > 0; k-- {
+		t := rng.Intn(len(p.Instrs))
+		pos := rng.Intn(len(p.Instrs[t]) + 1)
+		loc := mem.Const(int64(rng.Intn(2)))
+		val := mem.Const(int64(1 + rng.Intn(2)))
+		ins := riscv.AMOStore(val, loc, true, true, false)
+		if rng.Intn(2) == 0 {
+			ins = riscv.AMOAdd(reg, val, loc, true, true, false)
+			reg++
+		}
+		adds = append(adds, insert{t, pos, ins})
+	}
+	q := isa.NewProgram(isa.RISCV, 2, "x", "y")
+	for t, th := range p.Instrs {
+		for i := 0; i <= len(th); i++ {
+			for _, a := range adds {
+				if a.t == t && a.pos == i {
+					q.Add(t, a.ins)
+				}
+			}
+			if i < len(th) {
+				q.Add(t, *th[i])
+			}
+		}
+	}
+	for _, o := range p.Mem().Observers {
+		q.Observe(o.Thread, o.Reg, o.Label)
+	}
+	for _, a := range adds {
+		if a.ins.Dst != mem.NoDst {
+			q.Observe(a.t, a.ins.Dst, obsLabel(a.ins.Dst))
+		}
+	}
+	for _, o := range p.Mem().MemObservers {
+		q.Mem().AddMemObserver(o.Loc, o.Label)
+	}
+	return q
+}
+
 func obsLabel(i int) string {
 	return string(rune('a'+i%26)) + string(rune('0'+i/26))
 }

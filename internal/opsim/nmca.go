@@ -28,7 +28,11 @@ import (
 //     commit fires no core, the writer included, observes the write.
 //     The commit in turn waits for the thread's earlier writes to be
 //     applied everywhere (pointwise W→W into a simultaneous event means
-//     global visibility). The backend=both cross-check against the
+//     global visibility). The AMO's read part, by contrast, performs at
+//     execution against the coherence tail (so aq orders later accesses
+//     after the read, not after the commit), and no other write to the
+//     location enters the coherence order before the commit: the
+//     write stays immediately coherence-after the write its read saw. The backend=both cross-check against the
 //     axiomatic nWR model pinned this from both sides on the base+a
 //     intuitive mapping: committing at execute time hid sb's relaxed
 //     outcome, while dropping the single instant entirely let the
@@ -68,13 +72,10 @@ const (
 	writeWords
 )
 
-// A pending slot's kind word: the slot is empty, holds a plain SC write,
-// or holds a fetch-add whose write value reads memory at the commit
-// itself so the read-modify-write stays indivisible.
+// A pending slot's kind word: the slot is empty or holds an SC write.
 const (
 	pendingNone = iota
 	pendingWrite
-	pendingAdd
 )
 
 // NewNMCA returns an operational nWR simulator.
@@ -185,6 +186,41 @@ func (s *NMCASimulator) pendingAt(st []int64, t int, l mem.Loc) bool {
 	return kind != pendingNone && pl == l
 }
 
+// mayReadPastOwn reports whether a read by thread t of l, not forwarded
+// from its store buffer, may perform now. Reading its own newest write
+// (or the initial value) always may; reading another thread's write
+// requires t's own writes to l applied at every core first — a load
+// that does not read its thread's store waits for that store to drain
+// (the axiomatic sb-same-addr-drain edge).
+func (s *NMCASimulator) mayReadPastOwn(st []int64, t int, l mem.Loc) bool {
+	n := int(st[s.appliedAt(t, l)])
+	if n == 0 || int(st[s.write(s.orderAt(st, l, n-1))+wSrc]) == t {
+		return true
+	}
+	for c := 0; c < s.n; c++ {
+		for i := int(st[s.appliedAt(c, l)]); i < s.orderLen(st, l); i++ {
+			if int(st[s.write(s.orderAt(st, l, i))+wSrc]) == t {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// pendingElsewhere reports whether a thread other than t has a pending
+// SC-AMO write to l. That write's read part already performed, against
+// the coherence tail, so no other write to l may enter the coherence
+// order before it commits: the RMW's write must stay immediately
+// coherence-after the write its read saw.
+func (s *NMCASimulator) pendingElsewhere(st []int64, t int, l mem.Loc) bool {
+	for u := 0; u < s.n; u++ {
+		if u != t && s.pendingAt(st, u, l) {
+			return true
+		}
+	}
+	return false
+}
+
 // canCommit reports whether thread t's pending SC-AMO write may take its
 // single visibility instant now: every core caught up on the location
 // (the commit appends at the coherence tail and applies everywhere at
@@ -208,17 +244,12 @@ func (s *NMCASimulator) globallyCaughtUp(st []int64, loc mem.Loc) bool {
 	return true
 }
 
-// commitPending fires thread t's pending SC-AMO write: the value is
-// computed against the now-globally-agreed view (fetch-adds read here,
-// keeping the RMW indivisible), appended to the coherence order, and
-// applied at every core in the same instant. It returns the location and
-// the value written.
+// commitPending fires thread t's pending SC-AMO write: appended to the
+// coherence order and applied at every core in the same instant. It
+// returns the location and the value written.
 func (s *NMCASimulator) commitPending(st []int64, t int) (mem.Loc, int64) {
-	kind, loc, val := s.pendingOf(st, t)
+	_, loc, val := s.pendingOf(st, t)
 	s.setPending(st, t, pendingNone, 0, 0)
-	if kind == pendingAdd {
-		val += s.view(st, t, loc)
-	}
 	s.appendWrite(st, t, loc, val, true)
 	s.applyAllAt(st, loc)
 	return loc, val
@@ -279,7 +310,7 @@ func (s *NMCASimulator) successors(st, next []int64, emit func(action) bool) boo
 		// visible anywhere before the atomic's instant.
 		if s.sbLen(st, t) > 0 {
 			kind, _, _ := s.pendingOf(st, t)
-			if l, _ := s.sbAt(st, t, 0); kind == pendingNone && s.caughtUp(st, t, l) {
+			if l, _ := s.sbAt(st, t, 0); kind == pendingNone && s.caughtUp(st, t, l) && !s.pendingElsewhere(st, t, l) {
 				copy(next, st)
 				l, v := s.sbPop(next, t)
 				s.appendWrite(next, t, l, v, false)
@@ -336,14 +367,19 @@ func (s *NMCASimulator) blocked(st []int64, t int, ins *isa.Instr) bool {
 		// uncommitted same-location SC-AMO write lives at the memory
 		// system, not in the buffer, so the load must wait for its
 		// instant (it may not read an older write than the thread's own).
-		return s.pendingAt(st, t, s.loc(st, t, ins))
+		l := s.loc(st, t, ins)
+		if s.pendingAt(st, t, l) {
+			return true
+		}
+		_, forwarded := s.sbNewest(st, t, l)
+		return !forwarded && !s.mayReadPastOwn(st, t, l)
 	case ins.Op == isa.OpAMOLoad:
 		// Reads at the memory system: no same-location entry may be
 		// buffered or pending; rl additionally waits for the whole
 		// buffer and for global visibility of own writes — a pending
 		// atomic is an own write not yet visible anywhere.
 		l := s.loc(st, t, ins)
-		if _, buffered := s.sbNewest(st, t, l); buffered || s.pendingAt(st, t, l) {
+		if _, buffered := s.sbNewest(st, t, l); buffered || s.pendingAt(st, t, l) || !s.mayReadPastOwn(st, t, l) {
 			return true
 		}
 		return ins.Rl && (s.sbLen(st, t) > 0 || kind != pendingNone || !s.ownWritesGloballyApplied(st, t))
@@ -354,22 +390,14 @@ func (s *NMCASimulator) blocked(st []int64, t int, ins *isa.Instr) bool {
 		if kind != pendingNone || s.sbLen(st, t) > 0 {
 			return true
 		}
+		// Every writing AMO acquires the line: its read part performs
+		// now, against the coherence tail, and no other thread's pending
+		// SC write to the location may be overtaken. Release (and
+		// relaxed) AMOs then write through, propagating per core under
+		// source FIFO — the pointwise-vis reading of the eager release
+		// edges; SC AMOs park their write in the pending slot.
 		l := s.loc(st, t, ins)
-		if scAtomic(ins) {
-			if ins.Dst == mem.NoDst {
-				// Pure SC write: executes into the pending slot and
-				// commits later — nothing more to wait for here.
-				return false
-			}
-			// SC read-modify-write with a destination: the read performs
-			// at the same instant the write becomes visible, so the
-			// commit conditions must already hold at execution.
-			return !s.globallyCaughtUp(st, l) || !s.ownWritesGloballyApplied(st, t)
-		}
-		// Release (and relaxed) AMOs acquire the line and write through,
-		// propagating per core under source FIFO — the pointwise-vis
-		// reading of the eager release edges.
-		return !s.caughtUp(st, t, l)
+		return !s.caughtUp(st, t, l) || s.pendingElsewhere(st, t, l) || !s.mayReadPastOwn(st, t, l)
 	case ins.Op == isa.OpFence:
 		// W→R fences flush: own buffer empty and own writes applied
 		// everywhere (a pending atomic included). Other classes are
@@ -395,35 +423,21 @@ func (s *NMCASimulator) execute(st []int64, t int, ins *isa.Instr) {
 		s.sbPush(st, t, l, s.operand(st, t, ins.Data))
 	case isa.OpAMOLoad:
 		s.setReg(st, t, ins.Dst, s.view(st, t, l))
-	case isa.OpAMOStore:
-		if scAtomic(ins) {
-			s.setPending(st, t, pendingWrite, l, s.operand(st, t, ins.Data))
-		} else {
-			s.appendWrite(st, t, l, s.operand(st, t, ins.Data), false)
-		}
-	case isa.OpAMOSwap, isa.OpAMOAdd:
-		add := ins.Op == isa.OpAMOAdd
-		if scAtomic(ins) && ins.Dst == mem.NoDst {
-			kind := pendingWrite
-			if add {
-				kind = pendingAdd
-			}
-			s.setPending(st, t, kind, l, s.operand(st, t, ins.Data))
-			break
-		}
+	case isa.OpAMOStore, isa.OpAMOSwap, isa.OpAMOAdd:
 		old := s.view(st, t, l)
 		if ins.Dst != mem.NoDst {
 			s.setReg(st, t, ins.Dst, old)
 		}
 		val := s.operand(st, t, ins.Data)
-		if add {
+		if ins.Op == isa.OpAMOAdd {
 			val += old
 		}
-		s.appendWrite(st, t, l, val, scAtomic(ins))
 		if scAtomic(ins) {
-			// blocked() held this back until the commit conditions were
-			// met, so the write's instant is now — apply it everywhere.
-			s.applyAllAt(st, l)
+			// The read part has performed; the write waits for its
+			// single visibility instant (commitPending).
+			s.setPending(st, t, pendingWrite, l, val)
+		} else {
+			s.appendWrite(st, t, l, val, false)
 		}
 	}
 	// A fence's ordering effect is all in blocked().

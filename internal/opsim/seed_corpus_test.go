@@ -74,6 +74,27 @@ func TestWRSeedCorpus(t *testing.T) {
 	}
 }
 
+// scAMOSeedCorpus pins seeds of the store-atomic nWR differential
+// (TestFuzzDifferentialNMCAStoreAtomic) that once exposed an nMCA
+// simulator defect.
+var scAMOSeedCorpus = []int64{
+	2413680265607820015,  // loads ran ahead of a pending SC write's read part
+	-7464138030313031125, // the same, with plain and SC fetch-adds around it
+	597119436792391717,   // an SC fetch-add's read waited for its commit conditions
+	-658439647438458101,  // a load read past its own AMO write before it drained
+}
+
+// TestSCAMOSeedCorpus replays the pinned seeds through the nWR
+// differential.
+func TestSCAMOSeedCorpus(t *testing.T) {
+	for _, seed := range scAMOSeedCorpus {
+		rng := rand.New(rand.NewSource(seed))
+		if !nwrAgrees(t, withStoreAtomicAMOs(rng, randomProgram(rng))) {
+			t.Errorf("seed %d: nWR operational and axiomatic outcome sets differ", seed)
+		}
+	}
+}
+
 // TestTSOForwardFromNewerStore is the handcrafted companion to
 // wrSeedCorpus. T0 buffers two stores to x and its load of x forwards
 // from the newer one, so the older store need not have drained when the

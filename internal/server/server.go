@@ -48,7 +48,6 @@ import (
 
 	"tricheck/api"
 	"tricheck/internal/core"
-	"tricheck/internal/fleet"
 	"tricheck/internal/mem"
 	"tricheck/internal/obs"
 	"tricheck/internal/report"
@@ -92,11 +91,6 @@ type Config struct {
 	// default: profiles expose process internals and a CPU profile
 	// perturbs in-flight sweeps, so the operator opts in per deployment.
 	EnablePprof bool
-	// Fleet, when non-nil, runs this server as a fleet coordinator:
-	// /v1/verify shards sweeps across the configured worker tricheckds
-	// instead of the local engine (which still serves memo endpoints and
-	// stays available to embedders).
-	Fleet *fleet.Config
 	// Log, when non-nil, receives request/shutdown notes.
 	Log *log.Logger
 }
@@ -111,7 +105,6 @@ type Server struct {
 	sem        chan struct{}
 	log        *log.Logger
 	start      time.Time
-	fleet      *fleet.Coordinator
 
 	// Counters are expvar values so /debug/vars exposes them; they are
 	// per-server (not globally registered), keeping tests and multiple
@@ -185,23 +178,8 @@ func New(cfg Config) (*Server, error) {
 			logger.Printf("cache %s: %d warm entries", s.cachePath, st.Len)
 		}
 	}
-	if cfg.Fleet != nil {
-		fcfg := *cfg.Fleet
-		if fcfg.Log == nil {
-			fcfg.Log = logger
-		}
-		coord, err := fleet.New(fcfg)
-		if err != nil {
-			return nil, err
-		}
-		s.fleet = coord
-	}
 	return s, nil
 }
-
-// Fleet returns the coordinator when the server runs in fleet mode
-// (nil otherwise). tricheckd starts its health-probe loop.
-func (s *Server) Fleet() *fleet.Coordinator { return s.fleet }
 
 // Engine returns the server's (shared) verification engine.
 func (s *Server) Engine() *core.Engine { return s.eng }
@@ -229,8 +207,6 @@ func (s *Server) InFlight() int64 { return s.inflight.Value() }
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/verify", s.handleVerify)
-	mux.HandleFunc("/v1/memo/snapshot", s.handleMemoSnapshot)
-	mux.HandleFunc("/v1/memo/load", s.handleMemoLoad)
 	mux.HandleFunc("/v1/stats", s.handleStats)
 	mux.HandleFunc("/v1/traces", s.handleTraces)
 	mux.HandleFunc("/v1/coverage", s.handleCoverage)
@@ -307,10 +283,6 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	if s.fleet != nil {
-		s.handleFleetVerify(w, r)
-		return
-	}
 	var req api.VerifyRequest
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
 	dec.DisallowUnknownFields()
@@ -323,7 +295,6 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 		writeBadRequest(w, err)
 		return
 	}
-	keep := keyFilter(req.Keys)
 	workers := req.Workers
 	if workers <= 0 || workers > s.maxWorkers {
 		workers = s.maxWorkers
@@ -387,7 +358,7 @@ func (s *Server) handleVerify(w http.ResponseWriter, r *http.Request) {
 	}
 	outc := make(chan sweepOut, 1)
 	go func() {
-		results, err := s.eng.SweepStreamBackendKeys(ctx, tests, stacks, workers, backend, keep, events)
+		results, err := s.eng.SweepStreamBackend(ctx, tests, stacks, workers, backend, events)
 		outc <- sweepOut{results, err}
 	}()
 
@@ -544,9 +515,6 @@ func (s *Server) Stats() api.StatsRecord {
 			m.HitRate = float64(ms.Hits) / float64(lookups)
 		}
 		st.Memo = m
-	}
-	if s.fleet != nil {
-		st.Fleet = s.fleet.StatsJSON()
 	}
 	return st
 }

@@ -119,13 +119,40 @@ func TestVerifyRejectsBadRequests(t *testing.T) {
 			t.Errorf("%s → %d, want 400", name, resp.StatusCode)
 		}
 	}
-	raw, err := http.Post(ts.URL+"/v1/verify", "application/json", strings.NewReader(`{"family":`))
-	if err != nil {
-		t.Fatal(err)
+	// Raw bodies: truncated JSON, and an unknown field — a "keys" shard
+	// allowlist must fail loudly rather than silently sweep everything.
+	for name, body := range map[string]string{
+		"truncated JSON": `{"family":`,
+		"unknown field":  `{"family":"mp","keys":["x"]}`,
+	} {
+		raw, err := http.Post(ts.URL+"/v1/verify", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw.Body.Close()
+		if raw.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s → %d, want 400", name, raw.StatusCode)
+		}
 	}
-	raw.Body.Close()
-	if raw.StatusCode != http.StatusBadRequest {
-		t.Fatalf("truncated JSON → %d, want 400", raw.StatusCode)
+	// The memo cache is not reachable over HTTP: no endpoint reads or
+	// writes it, so a posted snapshot cannot forge cached verdicts.
+	const memoRoot = "/v1/memo"
+	for _, probe := range []struct{ method, path string }{
+		{http.MethodGet, memoRoot + "/snapshot"},
+		{http.MethodPost, memoRoot + "/load"},
+	} {
+		hreq, err := http.NewRequest(probe.method, ts.URL+probe.path, strings.NewReader(`{"version":2,"entries":{}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(hreq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s %s → %d, want 404", probe.method, probe.path, resp.StatusCode)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"tricheck/api"
 	"tricheck/internal/core"
 	"tricheck/internal/cover"
-	"tricheck/internal/obs"
 	"tricheck/internal/report"
 )
 
@@ -18,9 +17,6 @@ import (
 // the engine ledger's own snapshot (cover.Snapshot); its JSON encoding
 // is locked field-for-field to api.CoverageSnapshot by the wire tests.
 type CoverageSnapshot = cover.Snapshot
-
-// TraceJSON is one retained slow span as GET /v1/traces serves it.
-type TraceJSON = obs.TraceRecord
 
 func tallyJSON(t core.Tally) api.TallyJSON {
 	return api.TallyJSON{
